@@ -28,6 +28,7 @@ EIG_FLOOR = 1e-10
 KEYFRAME_PARALLAX_PX = 10.0
 KEYFRAME_TRACKED_RATIO = 0.5
 SCALE_FIXED_POINT_TOL = 1e-4
+SCALE_EVIDENCE_K = 3.0  # correct only when |s_hat - 1| > k standard errors
 SCALE_MAX_PASSES = 10
 
 
@@ -97,30 +98,26 @@ class SlidingWindowState:
         self.capacity = capacity
         self.frames = []  # global frame indices, ascending
         self.poses = {}  # frame -> Pose, body in world
-        self.timestamps = {}  # frame -> seconds
         self.landmarks = {}  # (camera, track_id) -> Landmark
         self.prior = None
         self.scales = None  # per-camera scale bookkeeping
 
-    def add_frame(self, frame, pose, timestamp=None):
+    def add_frame(self, frame, pose):
         if self.frames and frame <= self.frames[-1]:
             raise ValueError("frames must be added in increasing order")
         if len(self.frames) >= self.capacity:
             raise ValueError("window at capacity; marginalize or discard first")
         self.frames.append(frame)
         self.poses[frame] = pose
-        self.timestamps[frame] = float(frame) if timestamp is None else timestamp
 
     def remove_frame(self, frame):
         self.frames.remove(frame)
         del self.poses[frame]
-        self.timestamps.pop(frame, None)
 
     def copy(self):
         out = SlidingWindowState(self.capacity)
         out.frames = list(self.frames)
         out.poses = {f: p.copy() for f, p in self.poses.items()}
-        out.timestamps = dict(self.timestamps)
         out.landmarks = {
             k: Landmark(l.camera, l.track_id, l.anchor_frame, l.anchor_ray.copy(), l.inv_depth)
             for k, l in self.landmarks.items()
@@ -697,17 +694,19 @@ def correct_scale(state: SlidingWindowState, observations, rig, min_frame_obs=4)
     window by pose-only refinement against that camera's landmarks with
     depths held fixed. Comparing it (through the extrinsic, re-anchored)
     with the fused body trajectory gives a single residual scale s_hat per
-    camera; the camera's inverse depths are divided by s_hat. Body poses
-    are untouched: rectification propagates through later optimization.
+    camera, with standard error sigma. Body poses are untouched:
+    rectification propagates through later optimization.
 
-    Landmarks anchored at different frames do not rescale the scene as one
-    similarity transform, so a single division under-corrects. The
-    estimate is therefore iterated to a fixed point: passes repeat until
-    |s_hat - 1| < SCALE_FIXED_POINT_TOL or SCALE_MAX_PASSES is reached. A
-    consistent state stops after one pass.
+    If the first pass gives |s_hat - 1| <= SCALE_EVIDENCE_K * sigma, the
+    deviation is within the estimate's noise and the camera's inverse
+    depths stay exactly as they are. Otherwise they are divided by s_hat,
+    iterated to a fixed point because landmarks anchored at different
+    frames do not rescale the scene as one similarity transform: passes
+    repeat until |s_hat - 1| < SCALE_FIXED_POINT_TOL or SCALE_MAX_PASSES
+    is reached.
 
-    Returns {camera: product of the passes' s_hat} for the cameras that
-    were corrected.
+    Returns {camera: product of the passes' s_hat}, 1.0 where the gate
+    held; a camera whose scale is unobservable is absent.
     """
     if len(state.frames) < 3:
         return {}
@@ -719,9 +718,13 @@ def correct_scale(state: SlidingWindowState, observations, rig, min_frame_obs=4)
 
     applied = {}
     for c in range(rig.n_cameras):
-        for _ in range(SCALE_MAX_PASSES):
-            s_hat = _camera_scale(state, obs_by_cam_frame, rig, c, min_frame_obs)
-            if s_hat is None:
+        for n_pass in range(SCALE_MAX_PASSES):
+            estimate = _camera_scale(state, obs_by_cam_frame, rig, c, min_frame_obs)
+            if estimate is None:
+                break
+            s_hat, sigma = estimate
+            if n_pass == 0 and abs(s_hat - 1.0) <= SCALE_EVIDENCE_K * sigma:
+                applied[c] = 1.0
                 break
             for lm in state.landmarks.values():
                 if lm.camera == c:
@@ -733,7 +736,12 @@ def correct_scale(state: SlidingWindowState, observations, rig, min_frame_obs=4)
 
 
 def _camera_scale(state, obs_by_cam_frame, rig, c, min_frame_obs):
-    """One residual-scale estimate for camera c, or None if unobservable."""
+    """One residual-scale estimate for camera c.
+
+    Returns (s_hat, sigma), sigma being the standard error of s_hat from
+    solve_single_scale, or None if the scale is unobservable: too few
+    landmarks or solved frames, no translation, or s_hat <= 0.
+    """
     ext = rig.extrinsic(c).cam_in_body
     r_ext = ext.rotation
     t_ext = ext.t
@@ -780,10 +788,10 @@ def _camera_scale(state, obs_by_cam_frame, rig, c, min_frame_obs):
         offset = t_ext - r_ext @ rot_c @ r_ext.T @ t_ext
         coeffs.append(r_ext @ rel_cam.t)
         targets.append(rel_body.t - offset)
-    s_hat, _, denom = solve_single_scale(coeffs, targets)
+    s_hat, sigma, denom = solve_single_scale(coeffs, targets)
     if denom < 1e-10 or s_hat <= 0:
         return None
-    return s_hat
+    return s_hat, sigma
 
 
 def _coords_to_ray(coords):

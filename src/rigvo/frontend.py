@@ -56,9 +56,6 @@ class FeatureTrackTable:
         out.sort(key=lambda item: item[0])
         return out
 
-    def track_pixels(self, cam, tid):
-        return self.tracks[cam][tid]
-
     def lifespan(self, cam, tid):
         return len(self.tracks[cam][tid])
 

@@ -73,7 +73,6 @@ class SimOutput:
     track_landmark: list  # per camera: {track_id: landmark_id}
     frame_rate: float
     warnings: list = field(default_factory=list)
-    gt_scales: np.ndarray | None = None
 
 
 def _yaw_pose(position, tangent):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rigvo import backend
 from rigvo.backend import (
     Landmark,
     MarginalizationPrior,
@@ -399,6 +400,25 @@ class TestCorrectScale:
         cost_corr = info_corr["cost_trace"][-1]
         assert abs(cost_corr - cost_biased) <= 1e-6 * cost_biased
         assert abs(scale_error(corrected) - scale_error(biased)) < 1e-5
+
+    def test_unbiased_noisy_window_left_alone(self, monkeypatch):
+        # at 0.5 px every camera's s_hat is within its own noise of 1, so the
+        # evidence gate stops after one estimate and touches no depth
+        rig, traj, cloud, sim = make_sim(NoiseSpec(pixel_sigma=0.5, seed=0))
+        state, observations = build_gt_window(rig, traj, sim, range(11))
+        before = {k: lm.inv_depth for k, lm in state.landmarks.items()}
+        passes = {}
+        camera_scale = backend._camera_scale
+
+        def counted(state, obs_by_cam_frame, rig, c, min_frame_obs):
+            passes[c] = passes.get(c, 0) + 1
+            return camera_scale(state, obs_by_cam_frame, rig, c, min_frame_obs)
+
+        monkeypatch.setattr(backend, "_camera_scale", counted)
+        applied = correct_scale(state, observations, rig)
+        assert passes == {c: 1 for c in range(rig.n_cameras)}
+        assert applied == {c: 1.0 for c in range(rig.n_cameras)}
+        assert {k: lm.inv_depth for k, lm in state.landmarks.items()} == before
 
 
 def test_prune_landmarks():

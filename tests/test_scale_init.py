@@ -16,6 +16,7 @@ from rigvo.scale import (
     body_hypothesis,
     build_scale_system,
     solve_scales,
+    solve_single_scale,
 )
 from rigvo.simulator import (
     NoiseSpec,
@@ -163,6 +164,21 @@ class TestSolveScales:
         system.theta = system.theta[:3]
         with pytest.raises(ValueError):
             solve_scales(system)
+
+
+class TestSolveSingleScale:
+    def test_standard_error_calibrated(self):
+        # sigma must predict the spread of s under iid Gaussian target noise
+        rng = np.random.default_rng(0)
+        coeffs = rng.normal(scale=0.3, size=(20, 3))
+        s_hats, sigmas = [], []
+        for _ in range(500):
+            targets = 1.05 * coeffs + rng.normal(scale=0.01, size=coeffs.shape)
+            s_hat, sigma, _ = solve_single_scale(coeffs, targets)
+            s_hats.append(s_hat)
+            sigmas.append(sigma)
+        spread = float(np.std(s_hats, ddof=1))
+        assert abs(spread / float(np.median(sigmas)) - 1.0) < 0.10
 
 
 class TestReadyCheck:
