@@ -100,7 +100,6 @@ class SlidingWindowState:
         self.poses = {}  # frame -> Pose, body in world
         self.landmarks = {}  # (camera, track_id) -> Landmark
         self.prior = None
-        self.scales = None  # per-camera scale bookkeeping
 
     def add_frame(self, frame, pose):
         if self.frames and frame <= self.frames[-1]:
@@ -123,7 +122,6 @@ class SlidingWindowState:
             for k, l in self.landmarks.items()
         }
         out.prior = self.prior
-        out.scales = None if self.scales is None else self.scales.copy()
         return out
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .backend import Landmark, SlidingWindowState
 from .frontend import FeatureTrackTable, track_stability
-from .geometry import RigConfig, unproject
+from .geometry import RigConfig, unproject_many
 from .scale import (
     DegenerateMotionError,
     ScaleEstimate,
@@ -22,7 +22,7 @@ from .scale import (
     build_scale_system,
     solve_scales,
 )
-from .sfm import SfmFailure, monocular_sfm_window, triangulate_rays
+from .sfm import SfmFailure, monocular_sfm_window, triangulate_many
 
 INIT_WINDOW_SPAN = 10  # frames of motion; the window holds span+1 poses
 PARALLAX_THRESHOLD_PX = 30.0
@@ -68,7 +68,7 @@ def check_initialization_ready(table: FeatureTrackTable, end_frame=None,
     a normal outcome (principal is None then).
     """
     end = table.last_frame if end_frame is None else end_frame
-    if end is None or end - span < (min(table.frames()) if table.frames() else 0):
+    if end is None or end - span < (table.frames() or [0])[0]:
         return False, None, [0.0] * table.n_cameras
     parallax = [
         table.window_parallax(cam, span, end) for cam in range(table.n_cameras)
@@ -84,6 +84,27 @@ def check_initialization_ready(table: FeatureTrackTable, end_frame=None,
     return ready, principal, parallax
 
 
+def _window_rays(table: FeatureTrackTable, cam, intr, frames):
+    """One camera's rays over the window frames, from one pass over its
+    tracks and one unprojection. Returns (track ids ascending, rays (T,F,3),
+    seen (T,F)) over the tracks seen at least once among frames.
+    """
+    column = {f: k for k, f in enumerate(frames)}
+    tids, rows, cols, pixels = [], [], [], []
+    for tid in sorted(table.tracks[cam]):
+        hits = [(column[f], pix) for f, pix in table.tracks[cam][tid] if f in column]
+        if hits:
+            rows += [len(tids)] * len(hits)
+            cols += [k for k, _ in hits]
+            pixels += [pix for _, pix in hits]
+            tids.append(tid)
+    rays = np.zeros((len(tids), len(frames), 3))
+    seen = np.zeros((len(tids), len(frames)), dtype=bool)
+    rays[rows, cols] = unproject_many(np.reshape(pixels, (-1, 2)), intr)
+    seen[rows, cols] = True
+    return tids, rays, seen
+
+
 def run_window_sfm(table: FeatureTrackTable, rig: RigConfig, frames, rng=None):
     """Monocular SfM per camera over the window frames.
 
@@ -96,12 +117,10 @@ def run_window_sfm(table: FeatureTrackTable, rig: RigConfig, frames, rng=None):
     failures = {}
     for cam in range(rig.n_cameras):
         intr = rig.intrinsic(cam)
-        ray_obs = []
-        for f in frames:
-            frame_rays = {}
-            for tid, pix in table.observations_at(cam, f):
-                frame_rays[tid] = unproject(pix, intr)
-            ray_obs.append(frame_rays)
+        tids, rays, seen = _window_rays(table, cam, intr, frames)
+        # per-frame dicts in ascending track-id order: PnP takes its order from them
+        ray_obs = [{tids[r]: rays[r, k] for r in np.flatnonzero(seen[:, k])}
+                   for k in range(len(frames))]
         threshold = 1.0 / float(intr.fx)
         try:
             sfm = monocular_sfm_window(
@@ -111,7 +130,7 @@ def run_window_sfm(table: FeatureTrackTable, rig: RigConfig, frames, rng=None):
             failures[cam] = str(err)
             continue
         trajectories[cam] = sfm
-        inliers[cam] = sum(len(fr) for fr in ray_obs)
+        inliers[cam] = int(seen.sum())
     return trajectories, inliers, failures
 
 
@@ -139,8 +158,9 @@ def initialize_state(trajectories, estimate: ScaleEstimate, table: FeatureTrackT
 
     Body poses come from the principal camera's hypothesis at its solved
     scale (identity at the window start). Landmarks are triangulated per
-    camera from the metrically scaled camera poses and stored as inverse
-    depths on their first-observation ray.
+    camera from the metrically scaled camera poses, in one triangulate_many
+    call per camera, and stored as inverse depths on their first-observation
+    ray.
 
     Raises DegenerateMotionError when the estimate is unobservable.
     """
@@ -164,39 +184,28 @@ def initialize_state(trajectories, estimate: ScaleEstimate, table: FeatureTrackT
     state = SlidingWindowState(capacity=max(capacity, len(frames)))
     for k, f in enumerate(frames):
         state.add_frame(f, hyp.poses[k].copy())
-    scales_full = np.ones(rig.n_cameras)
-    for c, s in scale_of.items():
-        scales_full[c] = s
-    state.scales = scales_full
 
-    frame_index = {f: k for k, f in enumerate(frames)}
     for cam in cams:
-        intr = rig.intrinsic(cam)
         ext = rig.extrinsic(cam).cam_in_body
-        cam_poses = {f: state.poses[f].compose(ext) for f in frames}
-        for tid, obs in table.tracks[cam].items():
-            in_window = [(f, pix) for f, pix in obs if f in frame_index]
-            if len(in_window) < 2:
-                continue
-            rays = [unproject(pix, intr) for _, pix in in_window]
-            poses = [cam_poses[f] for f, _ in in_window]
-            try:
-                point, depths = triangulate_rays(poses, rays)
-            except SfmFailure:
-                continue
-            if np.any(depths <= 0):
-                continue
-            anchor_frame, _ = in_window[0]
-            anchor_pose = cam_poses[anchor_frame]
-            p_cam = anchor_pose.rotation.T @ (point - anchor_pose.t)
+        cam_poses = [state.poses[f].compose(ext) for f in frames]
+        tids, rays, seen = _window_rays(table, cam, rig.intrinsic(cam), frames)
+        points, depths, ok = triangulate_many(
+            np.array([p.rotation for p in cam_poses]), np.array([p.t for p in cam_poses]),
+            rays, seen,
+        )
+        ok &= np.all((depths > 0) | ~seen, axis=1)
+        for r in np.flatnonzero(ok):
+            k = int(seen[r].argmax())  # first in-window observation
+            anchor_pose = cam_poses[k]
+            p_cam = anchor_pose.rotation.T @ (points[r] - anchor_pose.t)
             rng = float(np.linalg.norm(p_cam))
             if rng < 1e-9:
                 continue
-            state.landmarks[(cam, tid)] = Landmark(
+            state.landmarks[(cam, tids[r])] = Landmark(
                 camera=cam,
-                track_id=tid,
-                anchor_frame=anchor_frame,
-                anchor_ray=rays[0],
+                track_id=tids[r],
+                anchor_frame=frames[k],
+                anchor_ray=rays[r, k],
                 inv_depth=1.0 / rng,
             )
     return state

@@ -8,7 +8,6 @@ wide-angle fisheye cameras on the same code path as pinholes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,65 +81,71 @@ def _decompose_essential(e_mat):
     return [(r1, t), (r1, -t), (r2, t), (r2, -t)]
 
 
+def triangulate_many(rotations, centers, rays, seen, min_angle=LOW_PARALLAX_ANGLE):
+    """Batched N-view midpoint triangulation of many tracks over V views.
+
+    rotations (V,3,3) and centers (V,3): world_T_cam of the views; rays
+    (N,V,3): unit rays in camera frames; seen (N,V): which views observe
+    each track (rays of unseen views are ignored). A track is ok when two of
+    its views subtend at least min_angle, i.e. acos of the smallest
+    |d_i . d_j| over its seen pairs. Returns (points (N,3), depths (N,V)
+    range along each ray, ok (N,)); rows that are not ok have NaN points,
+    and depths are 0 there and in unseen views. Cheirality is the caller's.
+    """
+    rays = np.asarray(rays, dtype=float)
+    seen = np.asarray(seen, dtype=bool)
+    n, v = seen.shape
+    # matmul and the sequential sums over views below round exactly as a
+    # per-track loop over its views does
+    dirs = np.matmul(rotations, rays[..., None])[..., 0] * seen[:, :, None]
+    pairs = seen[:, :, None] & seen[:, None, :] & ~np.eye(v, dtype=bool)
+    dots = np.abs(np.einsum("nvi,nwi->nvw", dirs, dirs))
+    min_dot = np.where(pairs, dots, np.inf).min(axis=(1, 2))
+    ok = pairs.any(axis=(1, 2)) & (np.arccos(np.clip(min_dot, 0.0, 1.0)) >= min_angle)
+
+    # sum over seen views of (I - d d^T) x = (I - d d^T) c
+    d = dirs[ok]
+    m = (np.eye(3) - d[..., :, None] * d[..., None, :]) * seen[ok][:, :, None, None]
+    points = np.full((n, 3), np.nan)
+    points[ok] = np.linalg.solve(m.sum(axis=1), np.matmul(m, centers[:, :, None]).sum(axis=1))[..., 0]
+    depths = np.zeros((n, v))
+    depths[ok] = np.einsum("nvi,nvi->nv", points[ok][:, None, :] - centers, d)
+    return points, depths, ok
+
+
 def triangulate_rays(poses, rays, min_angle=LOW_PARALLAX_ANGLE):
-    """N-view midpoint triangulation.
+    """N-view midpoint triangulation of one track: triangulate_many on one row.
 
     poses: list of world_T_cam Pose; rays: (N,3) unit rays, one per view.
     Returns (point (3,), depths (N,) range along each ray) or raises
     SfmFailure when no ray pair subtends at least min_angle.
     """
     rays = np.asarray(rays, dtype=float)
-    dirs = np.array([p.rotation @ r for p, r in zip(poses, rays)])
-    centers = np.array([p.t for p in poses])
-
-    max_angle = 0.0
-    for i in range(len(dirs)):
-        for j in range(i + 1, len(dirs)):
-            dot = np.clip(abs(float(dirs[i] @ dirs[j])), 0.0, 1.0)
-            max_angle = max(max_angle, math.acos(dot))
-    if max_angle < min_angle:
+    points, depths, ok = triangulate_many(
+        np.array([p.rotation for p in poses]), np.array([p.t for p in poses]),
+        rays[None], np.ones((1, len(rays)), dtype=bool), min_angle,
+    )
+    if not ok[0]:
         raise SfmFailure("rays near parallel")
-
-    a = np.zeros((3, 3))
-    b = np.zeros(3)
-    for d, c in zip(dirs, centers):
-        m = np.eye(3) - np.outer(d, d)
-        a += m
-        b += m @ c
-    point = np.linalg.solve(a, b)
-    depths = np.einsum("ni,ni->n", point[None, :] - centers, dirs)
-    return point, depths
+    return points[0], depths[0]
 
 
 def triangulate_pair(pose_a: Pose, pose_b: Pose, rays_a, rays_b, min_angle=LOW_PARALLAX_ANGLE):
-    """Two-view triangulation of matched rays.
+    """Two-view triangulation of matched rays: one triangulate_many call.
 
-    Returns (points (N,3), depths_a, depths_b, ok mask); points failing the
-    parallax or cheirality checks are NaN with ok False.
+    Returns (points (N,3), depths_a, depths_b, ok mask). A point is ok when
+    it passes the parallax test, lies in front of both cameras and the
+    baseline is nonzero; the others are NaN with zero depths.
     """
-    rays_a = np.asarray(rays_a, dtype=float)
-    rays_b = np.asarray(rays_b, dtype=float)
-    if np.linalg.norm(pose_a.t - pose_b.t) < 1e-12:
-        n = len(rays_a)
-        return np.full((n, 3), np.nan), np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool)
-    n = len(rays_a)
-    points = np.full((n, 3), np.nan)
-    da = np.zeros(n)
-    db = np.zeros(n)
-    ok = np.zeros(n, dtype=bool)
-    for i in range(n):
-        try:
-            p, depths = triangulate_rays(
-                [pose_a, pose_b], [rays_a[i], rays_b[i]], min_angle=min_angle
-            )
-        except SfmFailure:
-            continue
-        if depths[0] <= 0 or depths[1] <= 0:
-            continue
-        points[i] = p
-        da[i], db[i] = depths
-        ok[i] = True
-    return points, da, db, ok
+    rays = np.stack([np.reshape(rays_a, (-1, 3)), np.reshape(rays_b, (-1, 3))], axis=1)
+    points, depths, ok = triangulate_many(
+        np.array([pose_a.rotation, pose_b.rotation]), np.array([pose_a.t, pose_b.t]),
+        rays, np.ones(rays.shape[:2], dtype=bool), min_angle,
+    )
+    ok &= np.all(depths > 0, axis=1) & (np.linalg.norm(pose_a.t - pose_b.t) >= 1e-12)
+    points[~ok] = np.nan
+    depths[~ok] = 0.0
+    return points, depths[:, 0], depths[:, 1], ok
 
 
 def estimate_relative_pose(rays_a, rays_b, inlier_threshold=0.002, rng=None, ransac_iters=RANSAC_ITERS):
@@ -354,13 +359,6 @@ def pnp_refine(points, rays, initial: Pose, max_iters=100, step_tol=1e-10, extri
     return Pose.from_rt(rot, t)
 
 
-def _shared_rays(obs_a, obs_b):
-    ids = sorted(set(obs_a) & set(obs_b))
-    rays_a = np.array([obs_a[i] for i in ids]) if ids else np.zeros((0, 3))
-    rays_b = np.array([obs_b[i] for i in ids]) if ids else np.zeros((0, 3))
-    return ids, rays_a, rays_b
-
-
 def monocular_sfm_window(ray_obs, camera_index=0, inlier_threshold=0.002, rng=None,
                          refine_passes=2, min_map_parallax=None):
     """Windowed monocular SfM from per-frame ray observations.
@@ -369,6 +367,10 @@ def monocular_sfm_window(ray_obs, camera_index=0, inlier_threshold=0.002, rng=No
     with the widest rotation-compensated parallax, estimates a relative
     pose, triangulates, solves remaining frames by robust pose refinement,
     and re-anchors frame 0 at identity with unit-norm init baseline.
+
+    The rays go once into a (track x frame) table in ascending track-id
+    order, each frame's PnP correspondence order; each growth of the map and
+    each refine pass is one triangulate_many call over its candidate tracks.
 
     Map points must subtend at least min_map_parallax (default 5x the
     inlier threshold: below that, triangulation is noise-dominated).
@@ -383,69 +385,71 @@ def monocular_sfm_window(ray_obs, camera_index=0, inlier_threshold=0.002, rng=No
         min_map_parallax = 5.0 * inlier_threshold
     huber = 2.0 * inlier_threshold
 
+    row_of = {tid: k for k, tid in enumerate(sorted({t for obs in ray_obs for t in obs}))}
+    rays = np.zeros((len(row_of), n_frames, 3))
+    seen = np.zeros((len(row_of), n_frames), dtype=bool)
+    for f, obs in enumerate(ray_obs):
+        for tid, ray in obs.items():
+            rays[row_of[tid], f] = ray
+            seen[row_of[tid], f] = True
+
     # rank frame pairs by rotation-compensated parallax: the residual ray
     # angle after the best-fit rotation is what triangulation actually sees
     pair_stats = []
     max_shared = 0
     for i in range(n_frames):
         for j in range(i + 1, n_frames):
-            ids, ra, rb = _shared_rays(ray_obs[i], ray_obs[j])
-            if len(ids) < MIN_EPIPOLAR_MATCHES:
+            shared = seen[:, i] & seen[:, j]
+            if shared.sum() < MIN_EPIPOLAR_MATCHES:
                 continue
+            ra, rb = rays[shared, i], rays[shared, j]
             rot_fit = _best_fit_rotation(ra, rb)
             parallax = float(np.median(_rotated_ray_angles(rot_fit, ra, rb)))
-            pair_stats.append((i, j, len(ids), parallax))
-            max_shared = max(max_shared, len(ids))
+            pair_stats.append((i, j, len(ra), parallax))
+            max_shared = max(max_shared, len(ra))
     if not pair_stats:
         raise SfmFailure("no frame pair shares enough tracks")
     support_floor = max(MIN_EPIPOLAR_MATCHES, max_shared // 2)
     eligible = [p for p in pair_stats if p[2] >= support_floor]
     ia, ib, _, _ = max(eligible, key=lambda p: p[3])
 
-    ids, ra, rb = _shared_rays(ray_obs[ia], ray_obs[ib])
+    shared = np.flatnonzero(seen[:, ia] & seen[:, ib])
+    ra, rb = rays[shared, ia], rays[shared, ib]
     rot, t_unit, mask = estimate_relative_pose(ra, rb, inlier_threshold, rng)
 
     poses = [None] * n_frames
     poses[ia] = Pose.identity()
     poses[ib] = Pose.from_rt(rot, t_unit)
 
-    points = {}
-    pts, da, db, ok = triangulate_pair(
+    # the map: points[k] is valid where mapped[k]
+    points = np.full((len(row_of), 3), np.nan)
+    mapped = np.zeros(len(row_of), dtype=bool)
+    pts, _, _, ok = triangulate_pair(
         poses[ia], poses[ib], ra, rb, min_angle=min_map_parallax
     )
-    for k, tid in enumerate(ids):
-        if mask[k] and ok[k]:
-            points[tid] = pts[k]
-    if len(points) < 4:
+    points[shared[mask & ok]] = pts[mask & ok]
+    mapped[shared[mask & ok]] = True
+    if mapped.sum() < 4:
         raise SfmFailure("too few triangulated landmarks")
 
     def solve_frame(f, init_pose):
-        shared = [tid for tid in ray_obs[f] if tid in points]
-        if len(shared) < 4:
+        use = mapped & seen[:, f]
+        if use.sum() < 4:
             raise SfmFailure(f"frame {f}: too few 2D-3D correspondences")
-        pts3 = np.array([points[tid] for tid in shared])
-        rays = np.array([ray_obs[f][tid] for tid in shared])
-        return pnp_refine(pts3, rays, init_pose, huber_delta=huber)
+        return pnp_refine(points[use], rays[use, f], init_pose, huber_delta=huber)
 
-    def grow_map(solved):
-        # triangulate tracks that two or more solved frames now cover
-        candidates = {
-            tid for f in solved for tid in ray_obs[f] if tid not in points
-        }
-        for tid in sorted(candidates):
-            obs_frames = [f for f in solved if tid in ray_obs[f]]
-            if len(obs_frames) < 2:
-                continue
-            try:
-                p, depths = triangulate_rays(
-                    [poses[f] for f in obs_frames],
-                    [ray_obs[f][tid] for f in obs_frames],
-                    min_angle=min_map_parallax,
-                )
-            except SfmFailure:
-                continue
-            if np.all(depths > 0):
-                points[tid] = p
+    def map_tracks(rows, frames):
+        # map those of the given tracks that triangulate from the given
+        # solved frames in front of every frame observing them
+        sub = seen[np.ix_(rows, frames)]
+        pts, depths, ok = triangulate_many(
+            np.array([poses[f].rotation for f in frames]),
+            np.array([poses[f].t for f in frames]),
+            rays[np.ix_(rows, frames)], sub, min_map_parallax,
+        )
+        ok &= np.all((depths > 0) | ~sub, axis=1)
+        points[rows[ok]] = pts[ok]
+        mapped[rows[ok]] = True
 
     # sweep outward from the solved pair so each frame has a nearby initial
     solved = {ia, ib}
@@ -456,29 +460,17 @@ def monocular_sfm_window(ray_obs, camera_index=0, inlier_threshold=0.002, rng=No
         neighbor = min(solved, key=lambda g: abs(g - f))
         poses[f] = solve_frame(f, poses[neighbor])
         solved.add(f)
-        grow_map(solved)
+        # map the tracks that two or more solved frames now cover
+        map_tracks(np.flatnonzero(~mapped), sorted(solved))
 
+    all_frames = list(range(n_frames))
     for _ in range(refine_passes):
         # retriangulate every track from all observing frames, then re-solve
-        all_ids = sorted({tid for frame in ray_obs for tid in frame})
-        points = {}
-        for tid in all_ids:
-            obs_frames = [f for f in range(n_frames) if tid in ray_obs[f]]
-            if len(obs_frames) < 2:
-                continue
-            try:
-                p, depths = triangulate_rays(
-                    [poses[f] for f in obs_frames],
-                    [ray_obs[f][tid] for f in obs_frames],
-                    min_angle=min_map_parallax,
-                )
-            except SfmFailure:
-                continue
-            if np.all(depths > 0):
-                points[tid] = p
-        if len(points) < 4:
+        mapped[:] = False
+        map_tracks(np.arange(len(row_of)), all_frames)
+        if mapped.sum() < 4:
             raise SfmFailure("retriangulation lost the map")
-        for f in range(n_frames):
+        for f in all_frames:
             poses[f] = solve_frame(f, poses[f])
 
     anchor = poses[0].inverse()

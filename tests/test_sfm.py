@@ -5,11 +5,13 @@ import pytest
 
 from rigvo.geometry import Pose, rotation_angle, so3_exp, unproject
 from rigvo.sfm import (
+    LOW_PARALLAX_ANGLE,
     CameraSfmTrajectory,
     SfmFailure,
     estimate_relative_pose,
     monocular_sfm_window,
     pnp_refine,
+    triangulate_many,
     triangulate_pair,
     triangulate_rays,
 )
@@ -133,6 +135,102 @@ class TestTriangulate:
             assert np.linalg.norm(point - cloud.points[lm]) < 1e-6
             checked += 1
         assert checked >= 30
+
+
+def midpoint_reference(poses, rays, min_angle=LOW_PARALLAX_ANGLE):
+    """Per-track midpoint triangulation, one loop over the track's views."""
+    rays = np.asarray(rays, dtype=float)
+    dirs = np.array([p.rotation @ r for p, r in zip(poses, rays)])
+    centers = np.array([p.t for p in poses])
+
+    max_angle = 0.0
+    for i in range(len(dirs)):
+        for j in range(i + 1, len(dirs)):
+            dot = np.clip(abs(float(dirs[i] @ dirs[j])), 0.0, 1.0)
+            max_angle = max(max_angle, math.acos(dot))
+    if max_angle < min_angle:
+        raise SfmFailure("rays near parallel")
+
+    a = np.zeros((3, 3))
+    b = np.zeros(3)
+    for d, c in zip(dirs, centers):
+        m = np.eye(3) - np.outer(d, d)
+        a += m
+        b += m @ c
+    point = np.linalg.solve(a, b)
+    depths = np.einsum("ni,ni->n", point[None, :] - centers, dirs)
+    return point, depths
+
+
+class TestTriangulateMany:
+    VIEWS = 11
+    RANDOM, POINT, PARALLEL, FLIPPED = range(4)
+
+    def batch(self, n=240, seed=21):
+        """Tracks over 11 random views, each seen by 2-11 of them.
+
+        Row kinds cycle: random rays, rays of a point, near-parallel rays,
+        rays of a point with one ray flipped behind its camera. Unseen
+        views hold random rays, which the kernel must ignore.
+        """
+        rng = np.random.default_rng(seed)
+        poses = [
+            Pose.from_rt(so3_exp(rng.normal(scale=0.5, size=3)), rng.uniform(-2, 2, size=3))
+            for _ in range(self.VIEWS)
+        ]
+        rotations = np.array([p.rotation for p in poses])
+        centers = np.array([p.t for p in poses])
+        rays = rng.normal(size=(n, self.VIEWS, 3))
+        seen = np.zeros((n, self.VIEWS), dtype=bool)
+        truth = rng.uniform([-5, -5, 5], [5, 5, 15], size=(n, 3))
+        kind = np.arange(n) % 4
+        for k in range(n):
+            views = rng.choice(self.VIEWS, size=rng.integers(2, self.VIEWS + 1), replace=False)
+            seen[k, views] = True
+            if kind[k] == self.PARALLEL:
+                world = rng.normal(size=3) + rng.normal(scale=1e-7, size=(len(views), 3))
+            elif kind[k] != self.RANDOM:
+                world = truth[k] - centers[views]
+            else:
+                continue
+            rays[k, views] = np.einsum("vji,vj->vi", rotations[views], world)
+            if kind[k] == self.FLIPPED:
+                rays[k, views[0]] *= -1.0
+        rays /= np.linalg.norm(rays, axis=2, keepdims=True)
+        return poses, rotations, centers, rays, seen, truth, kind
+
+    def test_matches_per_track_reference(self):
+        poses, rotations, centers, rays, seen, truth, kind = self.batch()
+        points, depths, ok = triangulate_many(rotations, centers, rays, seen)
+        ref_ok = np.zeros(len(rays), dtype=bool)
+        for k in range(len(rays)):
+            views = np.flatnonzero(seen[k])
+            try:
+                point, ref_depths = midpoint_reference([poses[v] for v in views], rays[k, views])
+            except SfmFailure:
+                continue
+            ref_ok[k] = True
+            np.testing.assert_allclose(points[k], point, rtol=1e-9, atol=1e-9)
+            np.testing.assert_allclose(depths[k, views], ref_depths, rtol=1e-9, atol=1e-9)
+        np.testing.assert_array_equal(ok, ref_ok)
+        assert not ok[kind == self.PARALLEL].any()
+        assert np.all(np.isnan(points[~ok]))
+        assert np.all(depths[~seen] == 0.0)
+        for k in (self.POINT, self.FLIPPED):
+            assert ok[kind == k].all()
+            np.testing.assert_allclose(points[kind == k], truth[kind == k], atol=1e-9)
+        # a midpoint sees lines, not rays: the flipped view's depth turns negative
+        assert np.all((depths[kind == self.FLIPPED] < 0).sum(axis=1) == 1)
+        assert np.all(depths[kind == self.POINT][seen[kind == self.POINT]] > 0)
+
+    def test_empty_batch(self):
+        rotations = np.tile(np.eye(3), (3, 1, 1))
+        points, depths, ok = triangulate_many(
+            rotations, np.zeros((3, 3)), np.zeros((0, 3, 3)), np.zeros((0, 3), dtype=bool)
+        )
+        assert points.shape == (0, 3)
+        assert depths.shape == (0, 3)
+        assert ok.shape == (0,)
 
 
 class TestPnp:
