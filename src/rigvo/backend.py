@@ -11,14 +11,13 @@ covariance; points that land behind a camera are gated out per iteration.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Pose, matrix_to_quat, so3_exp, so3_log
+from .geometry import Pose, skew, so3_exp, so3_log
 from .scale import solve_single_scale
-from .sfm import SfmFailure, pnp_refine
+from .sfm import SfmFailure, huber_weights, pnp_refine
 
 WINDOW_CAPACITY = 11
 HUBER_DELTA = 1.0  # in observation standard deviations
@@ -266,26 +265,16 @@ class _Problem:
         m = np.einsum("kij,kjl->kil", r_b, r_e).transpose(0, 2, 1)
         d_pw = np.einsum("kij,kjl->kil", dproj, m)  # (k,2,3)
 
-        def cross_mat(v):
-            out = np.zeros((k, 3, 3))
-            out[:, 0, 1] = -v[:, 2]
-            out[:, 0, 2] = v[:, 1]
-            out[:, 1, 0] = v[:, 2]
-            out[:, 1, 2] = -v[:, 0]
-            out[:, 2, 0] = -v[:, 1]
-            out[:, 2, 1] = v[:, 0]
-            return out
-
         jac = np.zeros((k, 2, 13))
         # anchor pose: dP_w/dp = I, dP_w/dtheta = -R_a [P_ab]^
         jac[:, :, 0:3] = d_pw
         jac[:, :, 3:6] = -np.einsum(
-            "kij,kjl,klm->kim", d_pw, r_a, cross_mat(p_ab)
+            "kij,kjl,klm->kim", d_pw, r_a, skew(p_ab)
         )
         # target pose: dP_c/dp_b = -(R_b R_e)^T, dP_c/dtheta_b = R_e^T [P_bb]^
         jac[:, :, 6:9] = -d_pw
         jac[:, :, 9:12] = np.einsum(
-            "kij,kjl,klm->kim", dproj, r_e.transpose(0, 2, 1), cross_mat(p_bb)
+            "kij,kjl,klm->kim", dproj, r_e.transpose(0, 2, 1), skew(p_bb)
         )
         # inverse depth: dP_ac/dlambda = -ray/lambda^2
         r_total = np.einsum("kij,kjl->kil", m, np.einsum("kij,kjl->kil", r_a, r_e))
@@ -295,18 +284,6 @@ class _Problem:
         res[~valid] = 0.0
         jac[~valid] = 0.0
         return res, jac, valid
-
-
-def _huber_weights(res, delta=HUBER_DELTA):
-    """Per-observation sqrt IRLS weight and robust cost (whitened input)."""
-    e = np.linalg.norm(res, axis=1)
-    w = np.ones_like(e)
-    if not np.isfinite(delta):
-        return w, float((e**2).sum())
-    mask = e > delta
-    w[mask] = np.sqrt(delta / e[mask])
-    cost = np.where(mask, 2.0 * delta * e - delta**2, e**2)
-    return w, float(cost.sum())
 
 
 def _assemble(prob, res, jac, valid, hw):
@@ -374,28 +351,41 @@ def _assemble(prob, res, jac, valid, hw):
     return h_pp, h_pl, h_ll, g_p, g_l
 
 
-def _prior_terms(prob, prior):
-    """Prior gradient/Hessian mapped onto the free pose parameters."""
-    np_params = prob.n_pose_params
-    h_out = np.zeros((np_params, np_params))
-    g_out = np.zeros(np_params)
-    if prior is None:
-        return h_out, g_out, 0.0
-    delta = prior.delta(prob.state.poses)
-    grad_full = prior.h @ delta + prior.b
-    cols = {}
-    for i, f in enumerate(prior.frames):
-        slot = prob.frame_slot.get(f)
-        if slot is not None and slot in prob.slot_col:
-            cols[i] = prob.slot_col[slot]
-    for i, ci in cols.items():
-        g_out[6 * ci : 6 * ci + 6] += grad_full[6 * i : 6 * i + 6]
-        for j, cj in cols.items():
-            h_out[6 * ci : 6 * ci + 6, 6 * cj : 6 * cj + 6] += prior.h[
-                6 * i : 6 * i + 6, 6 * j : 6 * j + 6
-            ]
-    cost = float(0.5 * delta @ prior.h @ delta + prior.b @ delta + prior.constant)
-    return h_out, g_out, cost
+def _add_prior(prior, poses, block_of, h, g):
+    """Add a prior's Hessian, and its gradient at poses, into h and g.
+
+    block_of maps a frame to its 6-parameter block in h and g; prior frames
+    it lacks are left out. Distinct frames have distinct blocks, so each
+    target entry receives one term.
+    """
+    grad = prior.h @ prior.delta(poses) + prior.b
+    src = np.array([6 * i for i, f in enumerate(prior.frames) if f in block_of], dtype=int)
+    dst = np.array([6 * block_of[f] for f in prior.frames if f in block_of], dtype=int)
+    src = (src[:, None] + np.arange(6)).ravel()
+    dst = (dst[:, None] + np.arange(6)).ravel()
+    g[dst] += grad[src]
+    h[np.ix_(dst, dst)] += prior.h[np.ix_(src, src)]
+
+
+def _schur(h, b, removed):
+    """Schur-complement the parameters `removed` out of the system (h, b).
+
+    H_rr is inverted through its eigendecomposition; eigenvalues at or
+    below EIG_FLOOR are dropped (pseudo-inverse). With gain = H_kr H_rr^+,
+    returns (symmetrized H_kk - gain H_rk, b_k - gain b_r, number of
+    eigenvalues dropped), k being the retained parameters in order.
+    """
+    keep = np.ones(len(b), dtype=bool)
+    keep[removed] = False
+    retained = np.flatnonzero(keep)
+    h_rr = h[np.ix_(removed, removed)]
+    h_rk = h[np.ix_(removed, retained)]
+    vals, vecs = np.linalg.eigh(0.5 * (h_rr + h_rr.T))
+    floored = vals > EIG_FLOOR
+    inv_vals = np.where(floored, 1.0 / np.where(floored, vals, 1.0), 0.0)
+    gain = h_rk.T @ ((vecs * inv_vals[None, :]) @ vecs.T)
+    h_new = h[np.ix_(retained, retained)] - gain @ h_rk
+    return 0.5 * (h_new + h_new.T), b[retained] - gain @ b[removed], int((~floored).sum())
 
 
 def optimize_window(state: SlidingWindowState, observations, rig, max_iters=10,
@@ -420,10 +410,11 @@ def optimize_window(state: SlidingWindowState, observations, rig, max_iters=10,
     rots, pos, lam = prob.current_values()
 
     delta_huber = HUBER_DELTA if robust else np.inf
+    prior_cols = {f: prob.slot_col[s] for f, s in prob.frame_slot.items() if s in prob.slot_col}
 
     def total_cost(rots_c, pos_c, lam_c):
         res, _, valid = prob.evaluate(rots_c, pos_c, lam_c)
-        _, obs_cost = _huber_weights(res[valid], delta_huber)
+        _, obs_cost = huber_weights(res[valid], delta_huber)
         prior_cost = 0.0
         if state.prior is not None:
             poses = {
@@ -441,12 +432,11 @@ def optimize_window(state: SlidingWindowState, observations, rig, max_iters=10,
 
     for _ in range(max_iters):
         res, jac, valid = prob.evaluate(rots, pos, lam)
-        hw, _ = _huber_weights(res, delta_huber)
+        hw, _ = huber_weights(res, delta_huber)
         hw[~valid] = 0.0
         h_pp, h_pl, h_ll, g_p, g_l = _assemble(prob, res, jac, valid, hw)
-        h_prior, g_prior, _ = _prior_terms(prob, state.prior)
-        h_pp += h_prior
-        g_p += g_prior
+        if state.prior is not None:
+            _add_prior(state.prior, state.poses, prior_cols, h_pp, g_p)
 
         accepted = False
         for _ in range(8):
@@ -522,7 +512,7 @@ def marginalize_oldest(state: SlidingWindowState, observations, rig):
     prob = _Problem(state, factors, rig, gauge="none")
     rots, pos, lam = prob.current_values()
     res, jac, valid = prob.evaluate(rots, pos, lam)
-    hw, _ = _huber_weights(res)
+    hw, _ = huber_weights(res, HUBER_DELTA)
     hw[~valid] = 0.0
     h_pp, h_pl, h_ll, g_p, g_l = _assemble(prob, res, jac, valid, hw)
 
@@ -540,40 +530,11 @@ def marginalize_oldest(state: SlidingWindowState, observations, rig):
 
     # fold in the previous prior about the current estimates
     if state.prior is not None:
-        prev = state.prior
-        delta = prev.delta(state.poses)
-        b_shift = prev.h @ delta + prev.b
-        for i, fi in enumerate(prev.frames):
-            si = state.frames.index(fi)
-            b[6 * si : 6 * si + 6] += b_shift[6 * i : 6 * i + 6]
-            for j, fj in enumerate(prev.frames):
-                sj = state.frames.index(fj)
-                h[6 * si : 6 * si + 6, 6 * sj : 6 * sj + 6] += prev.h[
-                    6 * i : 6 * i + 6, 6 * j : 6 * j + 6
-                ]
+        slots = {f: s for s, f in enumerate(state.frames)}
+        _add_prior(state.prior, state.poses, slots, h, b)
 
-    removed = list(range(6)) + [6 * n_poses + i for i in range(n_lm)]
-    retained = [i for i in range(dim) if i not in removed]
-    h_rr = h[np.ix_(removed, removed)]
-    h_rk = h[np.ix_(removed, retained)]
-    h_kk = h[np.ix_(retained, retained)]
-    b_r = b[removed]
-    b_k = b[retained]
-
-    vals, vecs = np.linalg.eigh(0.5 * (h_rr + h_rr.T))
-    floored = vals > EIG_FLOOR
-    diagnostics = None
-    if not floored.all():
-        diagnostics = (
-            f"marginalization: {int((~floored).sum())} eigenvalues below floor, "
-            "pseudo-inverse applied"
-        )
-    inv_vals = np.where(floored, 1.0 / np.where(floored, vals, 1.0), 0.0)
-    h_rr_inv = (vecs * inv_vals[None, :]) @ vecs.T
-
-    h_new = h_kk - h_rk.T @ h_rr_inv @ h_rk
-    b_new = b_k - h_rk.T @ h_rr_inv @ b_r
-    h_new = 0.5 * (h_new + h_new.T)
+    removed = np.r_[0:6, 6 * n_poses : dim]
+    h_new, b_new, n_dropped = _schur(h, b, removed)
 
     retained_frames = state.frames[1:]
     prior = MarginalizationPrior(
@@ -583,8 +544,10 @@ def marginalize_oldest(state: SlidingWindowState, observations, rig):
         h=h_new,
         b=b_new,
     )
-    if diagnostics:
-        prior.diagnostic = diagnostics
+    if n_dropped:
+        prior.diagnostic = (
+            f"marginalization: {n_dropped} eigenvalues below floor, pseudo-inverse applied"
+        )
 
     for key in marg_keys:
         del state.landmarks[key]
@@ -626,8 +589,7 @@ def discard_second_newest(state: SlidingWindowState, observations, rig):
             rng = np.linalg.norm(p_cam)
             if rng < 1e-9 or p_cam[2] <= Z_GATE:
                 continue
-            ray = np.array([nxt.coords[0], nxt.coords[1], 1.0])
-            lm.anchor_ray = ray / np.linalg.norm(ray)
+            lm.anchor_ray = _coords_to_ray(nxt.coords)
             lm.anchor_frame = nxt.frame
             lm.inv_depth = 1.0 / rng
             re_anchored = True
@@ -645,23 +607,13 @@ def discard_second_newest(state: SlidingWindowState, observations, rig):
 def _prior_without_frame(prior: MarginalizationPrior, frame):
     """Schur-complement one pose block out of a prior."""
     idx = prior.frames.index(frame)
-    removed = list(range(6 * idx, 6 * idx + 6))
-    retained = [i for i in range(prior.dimension) if i not in removed]
-    h_rr = prior.h[np.ix_(removed, removed)]
-    h_rk = prior.h[np.ix_(removed, retained)]
-    h_kk = prior.h[np.ix_(retained, retained)]
-    vals, vecs = np.linalg.eigh(0.5 * (h_rr + h_rr.T))
-    inv_vals = np.where(vals > EIG_FLOOR, 1.0 / np.where(vals > EIG_FLOOR, vals, 1.0), 0.0)
-    h_rr_inv = (vecs * inv_vals[None, :]) @ vecs.T
-    h_new = h_kk - h_rk.T @ h_rr_inv @ h_rk
-    b_new = prior.h[np.ix_(retained, removed)] @ (h_rr_inv @ prior.b[removed])
-    b_new = prior.b[retained] - b_new
+    h_new, b_new, _ = _schur(prior.h, prior.b, np.arange(6 * idx, 6 * idx + 6))
     frames = [f for f in prior.frames if f != frame]
     return MarginalizationPrior(
         frames=frames,
         lin_rot={f: prior.lin_rot[f] for f in frames},
         lin_pos={f: prior.lin_pos[f] for f in frames},
-        h=0.5 * (h_new + h_new.T),
+        h=h_new,
         b=b_new,
         constant=prior.constant,
     )
@@ -709,15 +661,18 @@ def correct_scale(state: SlidingWindowState, observations, rig, min_frame_obs=4)
     if len(state.frames) < 3:
         return {}
 
-    obs_by_cam_frame = {}
+    # (landmark key, ray) per (camera, frame), for every pass
+    rays_by_cam_frame = {}
     for o in observations:
-        if o.frame in state.poses and (o.camera, o.track_id) in state.landmarks:
-            obs_by_cam_frame.setdefault((o.camera, o.frame), []).append(o)
+        key = (o.camera, o.track_id)
+        if o.frame in state.poses and key in state.landmarks:
+            rays_by_cam_frame.setdefault((o.camera, o.frame), []).append(
+                (key, _coords_to_ray(o.coords)))
 
     applied = {}
     for c in range(rig.n_cameras):
         for n_pass in range(SCALE_MAX_PASSES):
-            estimate = _camera_scale(state, obs_by_cam_frame, rig, c, min_frame_obs)
+            estimate = _camera_scale(state, rays_by_cam_frame, rig, c, min_frame_obs)
             if estimate is None:
                 break
             s_hat, sigma = estimate
@@ -733,9 +688,10 @@ def correct_scale(state: SlidingWindowState, observations, rig, min_frame_obs=4)
     return applied
 
 
-def _camera_scale(state, obs_by_cam_frame, rig, c, min_frame_obs):
+def _camera_scale(state, rays_by_cam_frame, rig, c, min_frame_obs):
     """One residual-scale estimate for camera c.
 
+    rays_by_cam_frame maps (camera, frame) to [(landmark key, unit ray)].
     Returns (s_hat, sigma), sigma being the standard error of s_hat from
     solve_single_scale, or None if the scale is unobservable: too few
     landmarks or solved frames, no translation, or s_hat <= 0.
@@ -743,44 +699,39 @@ def _camera_scale(state, obs_by_cam_frame, rig, c, min_frame_obs):
     ext = rig.extrinsic(c).cam_in_body
     r_ext = ext.rotation
     t_ext = ext.t
+    cam_poses = {f: state.poses[f].compose(ext) for f in state.frames}
 
     # landmark world points from the current state (depths fixed)
     world_points = {}
     for key, lm in state.landmarks.items():
-        if lm.camera != c or lm.anchor_frame not in state.poses:
+        if lm.camera != c or lm.anchor_frame not in cam_poses:
             continue
-        anchor_cam = state.poses[lm.anchor_frame].compose(ext)
-        world_points[key] = anchor_cam.apply(lm.anchor_ray / lm.inv_depth)
+        world_points[key] = cam_poses[lm.anchor_frame].apply(lm.anchor_ray / lm.inv_depth)
     if len(world_points) < min_frame_obs:
         return None
 
-    cam_poses = {}
+    solved_poses = {}
     for f in state.frames:
-        obs_f = [
-            o for o in obs_by_cam_frame.get((c, f), [])
-            if (o.camera, o.track_id) in world_points
-        ]
+        obs_f = [(key, ray) for key, ray in rays_by_cam_frame.get((c, f), [])
+                 if key in world_points]
         if len(obs_f) < min_frame_obs:
             continue
-        pts = np.array([world_points[(o.camera, o.track_id)] for o in obs_f])
-        rays = np.array(
-            [_coords_to_ray(o.coords) for o in obs_f]
-        )
-        init = state.poses[f].compose(ext)
+        pts = np.array([world_points[key] for key, _ in obs_f])
+        rays = np.array([ray for _, ray in obs_f])
         try:
-            cam_poses[f] = pnp_refine(pts, rays, init, max_iters=30)
+            solved_poses[f] = pnp_refine(pts, rays, cam_poses[f], max_iters=30)
         except SfmFailure:
             continue
-    solved = sorted(cam_poses)
+    solved = sorted(solved_poses)
     if len(solved) < 3:
         return None
 
     t0 = solved[0]
-    cam_anchor_inv = cam_poses[t0].inverse()
+    cam_anchor_inv = solved_poses[t0].inverse()
     body_anchor_inv = state.poses[t0].inverse()
     coeffs, targets = [], []
     for f in solved[1:]:
-        rel_cam = cam_anchor_inv.compose(cam_poses[f])
+        rel_cam = cam_anchor_inv.compose(solved_poses[f])
         rel_body = body_anchor_inv.compose(state.poses[f])
         rot_c = rel_cam.rotation
         offset = t_ext - r_ext @ rot_c @ r_ext.T @ t_ext

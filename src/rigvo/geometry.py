@@ -139,19 +139,6 @@ class Pose:
         return f"Pose(q={self.q.tolist()}, t={self.t.tolist()})"
 
 
-def se3_compose(a: Pose, b: Pose) -> Pose:
-    return a.compose(b)
-
-
-def se3_inverse(a: Pose) -> Pose:
-    return a.inverse()
-
-
-def relative_pose(a: Pose, b: Pose) -> Pose:
-    """Transform of b expressed in a's frame: a^-1 * b."""
-    return a.inverse().compose(b)
-
-
 def so3_exp(vec):
     """Axis-angle 3-vector to rotation matrix."""
     v = np.asarray(vec, dtype=float)
@@ -196,14 +183,24 @@ def so3_log(rot):
     return scale * np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]])
 
 
+# row i is [e_i]^ flattened, so v @ _SKEW_BASIS is [v]^ flattened; the
+# product only adds zeros to +-v_k, so every entry is exact
+_SKEW_BASIS = np.array(
+    [
+        [0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 1.0, 0.0],
+        [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0],
+        [0.0, -1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    ]
+)
+
+
 def skew(v):
-    return np.array(
-        [
-            [0.0, -v[2], v[1]],
-            [v[2], 0.0, -v[0]],
-            [-v[1], v[0], 0.0],
-        ]
-    )
+    """Cross-product matrix [v]^ of a 3-vector, or one per row of (..., 3).
+
+    skew(v) @ w = v x w; a (..., 3) input gives (..., 3, 3).
+    """
+    v = np.asarray(v, dtype=float)
+    return np.dot(v, _SKEW_BASIS).reshape(v.shape[:-1] + (3, 3))
 
 
 def rotation_angle(rot) -> float:

@@ -8,8 +8,6 @@ tracking stability anchors the world frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .backend import Landmark, SlidingWindowState
@@ -26,36 +24,6 @@ from .sfm import SfmFailure, monocular_sfm_window, triangulate_many
 
 INIT_WINDOW_SPAN = 10  # frames of motion; the window holds span+1 poses
 PARALLAX_THRESHOLD_PX = 30.0
-
-
-@dataclass
-class InitializationReport:
-    ready: bool
-    principal_camera: int | None = None
-    parallax_px: list = field(default_factory=list)
-    sfm_inliers: dict = field(default_factory=dict)
-    sfm_failures: dict = field(default_factory=dict)
-    scales: np.ndarray | None = None
-    residual_rms: float | None = None
-    condition_number: float | None = None
-
-    def text(self):
-        lines = ["initialization report"]
-        lines.append(f"  ready: {self.ready}")
-        if self.parallax_px:
-            px = ", ".join(f"{p:.1f}" for p in self.parallax_px)
-            lines.append(f"  window parallax (px): {px}")
-        if self.principal_camera is not None:
-            lines.append(f"  principal camera: {self.principal_camera}")
-        for cam, n in sorted(self.sfm_inliers.items()):
-            lines.append(f"  cam {cam}: {n} epipolar inliers")
-        for cam, msg in sorted(self.sfm_failures.items()):
-            lines.append(f"  cam {cam}: SfM failed ({msg})")
-        if self.scales is not None:
-            lines.append(f"  scales: {np.round(self.scales, 6).tolist()}")
-            lines.append(f"  residual rms: {self.residual_rms:.3e} m")
-            lines.append(f"  condition number: {self.condition_number:.3e}")
-        return "\n".join(lines)
 
 
 def check_initialization_ready(table: FeatureTrackTable, end_frame=None,
@@ -134,7 +102,7 @@ def run_window_sfm(table: FeatureTrackTable, rig: RigConfig, frames, rng=None):
     return trajectories, inliers, failures
 
 
-def estimate_window_scales(trajectories, rig: RigConfig, refine_lm=False):
+def estimate_window_scales(trajectories, rig: RigConfig):
     """Build and solve the multi-camera scale system.
 
     Requires at least two successful SfM reconstructions.
@@ -147,7 +115,7 @@ def estimate_window_scales(trajectories, rig: RigConfig, refine_lm=False):
     system = build_scale_system(
         [trajectories[c] for c in cams], [rig.extrinsic(c) for c in cams]
     )
-    estimate = solve_scales(system, refine_lm=refine_lm)
+    estimate = solve_scales(system)
     return system, estimate
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import CameraExtrinsic, Pose, body_pose_from_camera
+from .geometry import CameraExtrinsic, body_pose_from_camera
 from .sfm import CameraSfmTrajectory
 
 CONDITION_LIMIT = 1e8
@@ -156,12 +156,10 @@ def build_scale_system(sfm_trajectories, extrinsics):
     )
 
 
-def solve_scales(system: ScaleSystem, refine_lm=False) -> ScaleEstimate:
+def solve_scales(system: ScaleSystem) -> ScaleEstimate:
     """Least-squares scale vector minimizing ||F s + theta||^2.
 
-    The problem is exactly linear, so the closed-form solve is the answer;
-    refine_lm runs a damped iteration on top (it converges to the same
-    minimizer and exists to mirror an iterative solver configuration).
+    The problem is exactly linear, so the closed-form solve is the answer.
     The estimate is flagged unobservable when the system is ill-conditioned
     (> 1e8), any scale is non-positive or below 1e-3, or the offsets vanish
     (the homogeneous system determines scale only up to a common factor).
@@ -174,9 +172,6 @@ def solve_scales(system: ScaleSystem, refine_lm=False) -> ScaleEstimate:
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
 
     s, *_ = np.linalg.lstsq(system.f_matrix, -system.theta, rcond=None)
-
-    if refine_lm:
-        s = _damped_refine(system.f_matrix, system.theta, s)
 
     residual = system.f_matrix @ s + system.theta
     rms = float(np.sqrt(np.mean(residual**2))) if len(residual) else 0.0
@@ -201,31 +196,6 @@ def solve_scales(system: ScaleSystem, refine_lm=False) -> ScaleEstimate:
         observable=observable,
         reason=reason,
     )
-
-
-def _damped_refine(f_matrix, theta, s0, max_iters=50, tol=1e-14):
-    """Levenberg-style damped normal-equation iteration on the linear system."""
-    s = s0.copy()
-    lam = 1e-8
-    h = f_matrix.T @ f_matrix
-    cost = float(np.sum((f_matrix @ s + theta) ** 2))
-    for _ in range(max_iters):
-        g = f_matrix.T @ (f_matrix @ s + theta)
-        try:
-            step = np.linalg.solve(h + lam * np.diag(np.diag(h)), -g)
-        except np.linalg.LinAlgError:
-            lam *= 10
-            continue
-        new_cost = float(np.sum((f_matrix @ (s + step) + theta) ** 2))
-        if new_cost <= cost:
-            s = s + step
-            cost = new_cost
-            lam = max(lam * 0.1, 1e-12)
-            if np.linalg.norm(step) < tol:
-                break
-        else:
-            lam *= 10
-    return s
 
 
 def solve_single_scale(coeffs, targets):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Pose, so3_exp
+from .geometry import Pose, skew, so3_exp
 
 RANSAC_ITERS = 200
 MIN_EPIPOLAR_MATCHES = 8
@@ -231,29 +231,51 @@ def _best_fit_rotation(rays_a, rays_b):
     return u @ np.diag([1.0, 1.0, d]) @ vt
 
 
-def _unit_ray_residual_jacobian(rot_wc, t_wc, points, rays):
+def huber_weights(res, delta):
+    """Per-row square-root IRLS weights and robust cost of residual rows.
+
+    res (N,k): one residual vector per row, of norm e. The cost is the sum
+    of rho(e) = e^2 for e <= delta and 2 delta e - delta^2 beyond, whose
+    IRLS weight sqrt(delta / e) scales the row's residual and Jacobian.
+    delta = inf gives unit weights and the least-squares cost. Returns
+    (weights (N,), cost).
+    """
+    e = np.linalg.norm(res, axis=1)
+    w = np.ones_like(e)
+    if not np.isfinite(delta):
+        return w, float((e**2).sum())
+    far = e > delta
+    w[far] = np.sqrt(delta / e[far])
+    return w, float(np.where(far, 2.0 * delta * e - delta**2, e**2).sum())
+
+
+def _unit_ray_residual_jacobian(rot, t, points, rays, ext=None):
     """Residuals r = normalize(X_cam) - ray and Jacobians wrt (dp, dtheta).
 
-    Pose perturbation: t <- t + dp, R <- R @ exp(dtheta^). Returns
-    (residuals (N,3), jac (N,3,6)).
+    (rot, t) is world_T_cam, or world_T_body when ext (the camera's Pose
+    in the body) is given; X_cam = R_c^T (X - t_c) with world_T_cam =
+    world_T_body * ext. The perturbation acts on (rot, t): t <- t + dp,
+    R <- R @ exp(dtheta^). Returns (residuals (N,3), jac (N,3,6)).
     """
-    x_cam = (points - t_wc) @ rot_wc  # = R^T (X - t)
+    if ext is None:
+        rot_wc, t_wc = rot, t
+    else:
+        rot_wc = rot @ ext.rotation
+        t_wc = rot @ ext.t + t
+    x_cam = (points - t_wc) @ rot_wc
     norms = np.linalg.norm(x_cam, axis=1, keepdims=True)
     unit = x_cam / norms
     res = unit - rays
 
     # d unit / d x_cam = (I - uu^T)/|x|
-    eye = np.eye(3)[None, :, :]
-    proj = (eye - unit[:, :, None] * unit[:, None, :]) / norms[:, :, None]
-    # x_cam = R^T(X - t): d/dp = -R^T ; d/dtheta = [x_cam]^ (right perturbation)
+    proj = (np.eye(3) - unit[:, :, None] * unit[:, None, :]) / norms[:, :, None]
+    # d x_cam/dp = -R_c^T; d x_cam/dtheta = [x_cam]^ for a camera pose and
+    # ext.R^T [R^T (X - t)]^ for a body pose (right perturbation)
     d_dp = -np.broadcast_to(rot_wc.T, (len(points), 3, 3))
-    d_dth = np.zeros((len(points), 3, 3))
-    d_dth[:, 0, 1] = -x_cam[:, 2]
-    d_dth[:, 0, 2] = x_cam[:, 1]
-    d_dth[:, 1, 0] = x_cam[:, 2]
-    d_dth[:, 1, 2] = -x_cam[:, 0]
-    d_dth[:, 2, 0] = -x_cam[:, 1]
-    d_dth[:, 2, 1] = x_cam[:, 0]
+    if ext is None:
+        d_dth = skew(x_cam)
+    else:
+        d_dth = np.einsum("ab,nbc->nac", ext.rotation.T, skew((points - t) @ rot))
     jac = np.concatenate([proj @ d_dp, proj @ d_dth], axis=2)
     return res, jac
 
@@ -280,50 +302,28 @@ def pnp_refine(points, rays, initial: Pose, max_iters=100, step_tol=1e-10, extri
     t = initial.t.copy()
     lam = 1e-6
 
-    def eval_all(rot_wb, t_wb):
-        if extrinsics is None:
+    if extrinsics is None:
+        def eval_all(rot_wb, t_wb):
             return _unit_ray_residual_jacobian(rot_wb, t_wb, points, rays)
+    else:
+        # one kernel call per distinct extrinsic object
         groups = {}
         for i, ext in enumerate(extrinsics):
             groups.setdefault(id(ext), (ext, []))[1].append(i)
-        res = np.zeros((len(points), 3))
-        jac = np.zeros((len(points), 3, 6))
-        for ext, idxs in groups.values():
-            idxs = np.array(idxs)
-            rot_wc = rot_wb @ ext.rotation
-            t_wc = rot_wb @ ext.t + t_wb
-            # x_cam = ext.R^T (R_wb^T (X - t_wb) - ext.t)
-            x_cam = (points[idxs] - t_wc) @ rot_wc
-            norms = np.linalg.norm(x_cam, axis=1, keepdims=True)
-            unit = x_cam / norms
-            res[idxs] = unit - rays[idxs]
-            eye = np.eye(3)[None, :, :]
-            proj = (eye - unit[:, :, None] * unit[:, None, :]) / norms[:, :, None]
-            # body perturbation: t <- t + dp, R <- R exp(dtheta^)
-            # d x_cam/dp = -(R_wb ext.R)^T ; d x_cam/dtheta = ext.R^T [y]^
-            d_dp = -np.broadcast_to(rot_wc.T, (len(idxs), 3, 3))
-            y = (points[idxs] - t_wb) @ rot_wb
-            d_dth = np.zeros((len(idxs), 3, 3))
-            d_dth[:, 0, 1] = -y[:, 2]
-            d_dth[:, 0, 2] = y[:, 1]
-            d_dth[:, 1, 0] = y[:, 2]
-            d_dth[:, 1, 2] = -y[:, 0]
-            d_dth[:, 2, 0] = -y[:, 1]
-            d_dth[:, 2, 1] = y[:, 0]
-            d_dth = np.einsum("ab,nbc->nac", ext.rotation.T, d_dth)
-            jac[idxs] = np.concatenate([proj @ d_dp, proj @ d_dth], axis=2)
-        return res, jac
+        groups = [(ext, np.array(idxs)) for ext, idxs in groups.values()]
+
+        def eval_all(rot_wb, t_wb):
+            res = np.zeros((len(points), 3))
+            jac = np.zeros((len(points), 3, 6))
+            for ext, idxs in groups:
+                res[idxs], jac[idxs] = _unit_ray_residual_jacobian(
+                    rot_wb, t_wb, points[idxs], rays[idxs], ext)
+            return res, jac
 
     def robust(res, jac):
         if huber_delta is None:
             return res, jac, float((res**2).sum())
-        norms = np.linalg.norm(res, axis=1)
-        w = np.ones(len(res))
-        far = norms > huber_delta
-        w[far] = np.sqrt(huber_delta / norms[far])
-        cost = float(
-            np.sum(np.where(far, 2 * huber_delta * norms - huber_delta**2, norms**2))
-        )
+        w, cost = huber_weights(res, huber_delta)
         return res * w[:, None], jac * w[:, None, None], cost
 
     res, jac = eval_all(rot, t)

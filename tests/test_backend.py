@@ -315,6 +315,22 @@ class TestMarginalization:
                 assert lm.inv_depth > 0
 
 
+def test_schur_removes_blocks_in_any_grouping():
+    # eliminating two 6-blocks one after the other equals eliminating both
+    # at once (quotient property of the Schur complement)
+    rng = np.random.default_rng(72)
+    m = rng.normal(size=(24, 24))
+    h = m @ m.T + 24.0 * np.eye(24)
+    b = rng.normal(size=24)
+    first, second = np.arange(6, 12), np.arange(12, 18)
+    h_both, b_both, dropped = backend._schur(h, b, np.r_[first, second])
+    h_one, b_one, _ = backend._schur(h, b, first)
+    h_two, b_two, _ = backend._schur(h_one, b_one, second - 6)
+    assert dropped == 0
+    np.testing.assert_allclose(h_two, h_both, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(b_two, b_both, rtol=1e-12, atol=1e-12)
+
+
 class TestKeyframeDecision:
     def test_static(self):
         assert keyframe_decision(0.5, 0.9) == "discard_second_newest"

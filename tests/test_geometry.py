@@ -15,8 +15,7 @@ from rigvo.geometry import (
     project,
     project_many,
     rotation_angle,
-    se3_compose,
-    se3_inverse,
+    skew,
     so3_exp,
     so3_log,
     unproject,
@@ -49,12 +48,12 @@ class TestCompose:
     def test_identity(self):
         rng = np.random.default_rng(0)
         p = random_pose(rng)
-        out = se3_compose(Pose.identity(), p)
+        out = Pose.identity().compose(p)
         np.testing.assert_allclose(out.matrix(), p.matrix(), atol=1e-14)
 
     def test_rz90_twice(self):
         p = Pose.from_rt(rot_z(math.pi / 2), np.zeros(3))
-        out = se3_compose(p, p)
+        out = p.compose(p)
         np.testing.assert_allclose(out.rotation, rot_z(math.pi), atol=1e-12)
         np.testing.assert_allclose(out.t, np.zeros(3), atol=1e-12)
 
@@ -62,47 +61,62 @@ class TestCompose:
         rng = np.random.default_rng(1)
         for _ in range(20):
             p = random_pose(rng)
-            out = se3_compose(p, se3_inverse(p))
+            out = p.compose(p.inverse())
             np.testing.assert_allclose(out.matrix(), np.eye(4), atol=1e-12)
 
     def test_associativity(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             a, b, c = random_pose(rng), random_pose(rng), random_pose(rng)
-            left = se3_compose(se3_compose(a, b), c)
-            right = se3_compose(a, se3_compose(b, c))
+            left = a.compose(b).compose(c)
+            right = a.compose(b.compose(c))
             np.testing.assert_allclose(left.matrix(), right.matrix(), atol=1e-10)
 
     def test_inverse_of_compose(self):
         rng = np.random.default_rng(3)
         a, b = random_pose(rng), random_pose(rng)
-        lhs = se3_inverse(se3_compose(a, b))
-        rhs = se3_compose(se3_inverse(b), se3_inverse(a))
+        lhs = a.compose(b).inverse()
+        rhs = b.inverse().compose(a.inverse())
         np.testing.assert_allclose(lhs.matrix(), rhs.matrix(), atol=1e-12)
 
     def test_quaternion_stays_unit(self):
         rng = np.random.default_rng(4)
         p = random_pose(rng)
         for _ in range(500):
-            p = se3_compose(p, random_pose(rng))
+            p = p.compose(random_pose(rng))
             assert abs(np.linalg.norm(p.q) - 1.0) < 1e-9
 
 
 class TestInverse:
     def test_identity(self):
-        out = se3_inverse(Pose.identity())
+        out = Pose.identity().inverse()
         np.testing.assert_allclose(out.matrix(), np.eye(4), atol=1e-15)
 
     def test_pure_translation(self):
         p = Pose(t=[1.0, 2.0, 3.0])
-        out = se3_inverse(p)
+        out = p.inverse()
         np.testing.assert_allclose(out.t, [-1.0, -2.0, -3.0], atol=1e-15)
 
     def test_double_inverse(self):
         rng = np.random.default_rng(5)
         p = random_pose(rng)
-        out = se3_inverse(se3_inverse(p))
+        out = p.inverse().inverse()
         np.testing.assert_allclose(out.matrix(), p.matrix(), atol=1e-12)
+
+
+class TestSkew:
+    def test_single_vector(self):
+        np.testing.assert_array_equal(
+            skew([1.0, 2.0, 3.0]), [[0.0, -3.0, 2.0], [3.0, 0.0, -1.0], [-2.0, 1.0, 0.0]]
+        )
+
+    def test_rows_match_cross_product(self):
+        rng = np.random.default_rng(6)
+        v = rng.normal(size=(50, 3))
+        w = rng.normal(size=3)
+        mats = skew(v)
+        assert mats.shape == (50, 3, 3)
+        np.testing.assert_allclose(mats @ w, np.cross(v, w), rtol=1e-14, atol=1e-15)
 
 
 class TestSo3LogExp:

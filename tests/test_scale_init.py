@@ -114,13 +114,6 @@ class TestSolveScales:
         np.testing.assert_allclose(est.scales, S_TRUE, rtol=1e-9)
         assert est.residual_rms < 1e-12
 
-    def test_refine_lm_agrees(self, rig4):
-        traj = circle_traj()
-        sfms = make_scale_ambiguous_sfm(rig4, traj, S_TRUE)
-        system = build_scale_system(sfms, [rig4.extrinsic(c) for c in range(4)])
-        est = solve_scales(system, refine_lm=True)
-        np.testing.assert_allclose(est.scales, S_TRUE, rtol=1e-9)
-
     def test_scale_equivariance(self, rig4):
         traj = circle_traj()
         k = 2.5

@@ -8,6 +8,7 @@ from rigvo.sfm import (
     LOW_PARALLAX_ANGLE,
     CameraSfmTrajectory,
     SfmFailure,
+    _unit_ray_residual_jacobian,
     estimate_relative_pose,
     monocular_sfm_window,
     pnp_refine,
@@ -258,6 +259,58 @@ class TestPnp:
         points, rays, pose = self.scene()
         with pytest.raises(SfmFailure):
             pnp_refine(points[:3], rays[:3], pose)
+
+    def test_rig_body_pose_recovered(self, rig4):
+        # 15 points per camera of the 4-camera rig, up to 1.2 rad off each
+        # optical axis (the fisheyes see to 1.35 rad); PnP on the body pose
+        rng = np.random.default_rng(8)
+        body = Pose.from_rt(so3_exp([0.2, -0.1, 0.4]), [1.0, -0.5, 0.3])
+        points, rays, exts = [], [], []
+        for c in range(4):
+            ext = rig4.extrinsic(c).cam_in_body
+            cam = body.compose(ext)
+            for _ in range(15):
+                angle, azimuth = rng.uniform(0.0, 1.2), rng.uniform(0.0, 2 * math.pi)
+                ray = np.array([math.sin(angle) * math.cos(azimuth),
+                                math.sin(angle) * math.sin(azimuth), math.cos(angle)])
+                points.append(cam.apply(ray * rng.uniform(3.0, 15.0)))
+                rays.append(ray)
+                exts.append(ext)
+        init = Pose.from_rt(body.rotation @ so3_exp([0.04, 0.06, -0.05]),
+                            body.t + [0.15, -0.1, 0.2])
+        out = pnp_refine(np.array(points), np.array(rays), init, extrinsics=exts)
+        assert np.linalg.norm(out.t - body.t) < 1e-8
+        assert rotation_angle(out.rotation.T @ body.rotation) < 1e-8
+
+
+class TestRayJacobian:
+    @pytest.mark.parametrize("camera", [None, 0, 2])
+    def test_matches_central_differences(self, rig4, camera):
+        # rays up to 1.3 rad off the optical axis; camera None perturbs a
+        # camera pose, otherwise a body pose seen through that extrinsic
+        rng = np.random.default_rng(9)
+        ext = None if camera is None else rig4.extrinsic(camera).cam_in_body
+        rot = so3_exp([0.3, -0.2, 0.5])
+        t = np.array([0.4, -1.0, 0.7])
+        cam = Pose.from_rt(rot, t) if ext is None else Pose.from_rt(rot, t).compose(ext)
+        angle = rng.uniform(0.0, 1.3, size=30)
+        azimuth = rng.uniform(0.0, 2 * math.pi, size=30)
+        dirs = np.stack([np.sin(angle) * np.cos(azimuth), np.sin(angle) * np.sin(azimuth),
+                         np.cos(angle)], axis=1)
+        points = cam.apply(dirs * rng.uniform(2.0, 10.0, size=(30, 1)))
+        rays = np.array([unit(d + rng.normal(scale=0.01, size=3)) for d in dirs])
+
+        _, jac = _unit_ray_residual_jacobian(rot, t, points, rays, ext)
+        step = 1e-6
+        for k in range(6):
+            d = np.zeros(6)
+            d[k] = step
+            res_plus, _ = _unit_ray_residual_jacobian(
+                rot @ so3_exp(d[3:]), t + d[:3], points, rays, ext)
+            res_minus, _ = _unit_ray_residual_jacobian(
+                rot @ so3_exp(-d[3:]), t - d[:3], points, rays, ext)
+            numeric = (res_plus - res_minus) / (2 * step)
+            np.testing.assert_allclose(jac[:, :, k], numeric, atol=1e-8)
 
 
 class TestMonocularSfmWindow:
