@@ -4,6 +4,12 @@ parallax statistics, and the spatial feature distribution metric.
 Frame indices are global and strictly increasing; a track never spans
 cameras. Parallax windows are given as an interval span: a span of 10
 covers 11 consecutive frames.
+
+A FeatureTrackTable keeps two indexes over the same pixel arrays: tracks
+(camera -> track id -> observations in frame order, ids in creation order)
+and frame_obs (camera -> frame -> track id -> pixel, ids in ingest order).
+Ingest appends to both; every query reads frame_obs, so its cost is that of
+the observations in the frames it asks about, not of the whole run.
 """
 
 from __future__ import annotations
@@ -31,60 +37,67 @@ class TrackedFeature:
 
 
 class FeatureTrackTable:
-    """Per-camera feature tracks keyed by track id.
+    """Per-camera feature tracks with a track-id index and a frame index.
 
     tracks[cam][tid] is a list of (frame_index, pixel) with strictly
-    increasing frame indices.
+    increasing frame indices; its keys are in track creation order (the
+    frame of a track's first observation, then ingest order within it).
+    frame_obs[cam][frame] maps each track id observed by the camera at the
+    frame to its pixel, in ingest order, and holds the same pixel arrays
+    as tracks. first_seen[cam] is the camera's first observed frame, None
+    before its first observation.
+
+    Queries read frame_obs, so a call costs O(observations in the frames it
+    asks about), however many frames the table holds.
     """
 
     def __init__(self, n_cameras):
         self.n_cameras = n_cameras
         self.tracks = [{} for _ in range(n_cameras)]
+        self.frame_obs = [{} for _ in range(n_cameras)]
+        self.first_seen = [None] * n_cameras
         self.last_frame = None
         self.diagnostics = []
+        # tid -> creation index, so that window_parallax averages in the
+        # order of tracks whatever the ingest order within a frame
+        self._created = [{} for _ in range(n_cameras)]
 
     def observations_at(self, cam, frame):
         """List of (track_id, pixel) observed by a camera at a frame."""
-        out = []
-        for tid, obs in self.tracks[cam].items():
-            for f, pix in obs:
-                if f == frame:
-                    out.append((tid, pix))
-                    break
-                if f > frame:
-                    break
-        out.sort(key=lambda item: item[0])
-        return out
+        return sorted(self.frame_obs[cam].get(frame, {}).items(), key=lambda item: item[0])
 
     def lifespan(self, cam, tid):
         return len(self.tracks[cam][tid])
 
+    @property
+    def first_frame(self):
+        """First frame of frames(); None before the first ingest."""
+        return min((f for f in self.first_seen if f is not None), default=self.last_frame)
+
     def frames(self):
         if self.last_frame is None:
             return []
-        first = self.last_frame
-        for cam_tracks in self.tracks:
-            for obs in cam_tracks.values():
-                if obs and obs[0][0] < first:
-                    first = obs[0][0]
-        return list(range(first, self.last_frame + 1))
+        return list(range(self.first_frame, self.last_frame + 1))
 
     def window_parallax(self, cam, span, end_frame=None):
         """Mean endpoint pixel displacement of tracks alive across the span.
 
-        Considers tracks observed at both end_frame - span and end_frame;
-        returns 0.0 when no track covers the span.
+        Considers tracks observed at both end_frame - span and end_frame,
+        averaged in track creation order; returns 0.0 when no track covers
+        the span.
         """
         end = self.last_frame if end_frame is None else end_frame
         if end is None:
             return 0.0
-        start = end - span
-        disps = []
-        for obs in self.tracks[cam].values():
-            by_frame = {f: pix for f, pix in obs}
-            if start in by_frame and end in by_frame:
-                disps.append(np.linalg.norm(by_frame[end] - by_frame[start]))
-        return float(np.mean(disps)) if disps else 0.0
+        end_obs = self.frame_obs[cam].get(end, {})
+        start_obs = self.frame_obs[cam].get(end - span, {})
+        common = [tid for tid in end_obs if tid in start_obs]
+        if not common:
+            return 0.0
+        common.sort(key=self._created[cam].__getitem__)
+        d = np.array([end_obs[t] for t in common]) - np.array([start_obs[t] for t in common])
+        # vecdot is the dot product np.linalg.norm takes per row: same bits
+        return float(np.mean(np.sqrt(np.vecdot(d, d))))
 
 
 def update_track_table(table: FeatureTrackTable, frame_index, per_camera_obs, window_span=10):
@@ -94,7 +107,8 @@ def update_track_table(table: FeatureTrackTable, frame_index, per_camera_obs, wi
     The returned parallax is the mean per-frame pixel displacement of
     tracks alive across the trailing window (endpoint displacement divided
     by the covered span). Duplicate ids within one camera frame are
-    rejected with a diagnostic; the first occurrence is kept.
+    rejected with a diagnostic; the first occurrence is kept. A rejected
+    observation enters neither index.
     """
     if table.last_frame is not None and frame_index != table.last_frame + 1:
         raise ValueError(
@@ -104,6 +118,8 @@ def update_track_table(table: FeatureTrackTable, frame_index, per_camera_obs, wi
         raise ValueError("observation list does not match camera count")
 
     for cam, obs_list in enumerate(per_camera_obs):
+        tracks, created = table.tracks[cam], table._created[cam]
+        frame_obs = table.frame_obs[cam].setdefault(frame_index, {})
         seen = set()
         for tid, pixel in obs_list:
             if tid in seen:
@@ -113,23 +129,25 @@ def update_track_table(table: FeatureTrackTable, frame_index, per_camera_obs, wi
                 continue
             seen.add(tid)
             pix = np.asarray(pixel, dtype=float)
-            track = table.tracks[cam].setdefault(tid, [])
+            track = tracks.setdefault(tid, [])
             if track and track[-1][0] >= frame_index:
                 table.diagnostics.append(
                     f"frame {frame_index} cam {cam}: non-increasing frame for track {tid}"
                 )
                 continue
+            if not track:
+                created[tid] = len(created)
             track.append((frame_index, pix))
+            frame_obs[tid] = pix
+        if frame_obs and table.first_seen[cam] is None:
+            table.first_seen[cam] = frame_index
 
     table.last_frame = frame_index
 
     parallax = []
     for cam in range(table.n_cameras):
-        first = frame_index
-        for obs in table.tracks[cam].values():
-            if obs:
-                first = min(first, obs[0][0])
-        span = min(window_span, frame_index - first)
+        first = table.first_seen[cam]
+        span = 0 if first is None else min(window_span, frame_index - first)
         if span <= 0:
             parallax.append(0.0)
             continue
@@ -144,12 +162,14 @@ def track_stability(table: FeatureTrackTable, cam, window):
     window: inclusive (start_frame, end_frame).
     """
     start, end = window
-    lifespans = []
-    for obs in table.tracks[cam].values():
-        count = sum(1 for f, _ in obs if start <= f <= end)
-        if count > 0:
-            lifespans.append(count)
-    return float(np.mean(lifespans)) if lifespans else 0.0
+    tids = set()
+    total = 0
+    for f in range(start, end + 1):
+        obs = table.frame_obs[cam].get(f, {})
+        tids.update(obs)
+        total += len(obs)
+    # integer sum over integer count: the value np.mean of the lifespans gives
+    return total / len(tids) if tids else 0.0
 
 
 def _morton(gx, gy):

@@ -36,7 +36,8 @@ def check_initialization_ready(table: FeatureTrackTable, end_frame=None,
     a normal outcome (principal is None then).
     """
     end = table.last_frame if end_frame is None else end_frame
-    if end is None or end - span < (table.frames() or [0])[0]:
+    first = table.first_frame  # None only for an empty table
+    if first is None or end - span < first:
         return False, None, [0.0] * table.n_cameras
     parallax = [
         table.window_parallax(cam, span, end) for cam in range(table.n_cameras)
@@ -53,19 +54,18 @@ def check_initialization_ready(table: FeatureTrackTable, end_frame=None,
 
 
 def _window_rays(table: FeatureTrackTable, cam, intr, frames):
-    """One camera's rays over the window frames, from one pass over its
-    tracks and one unprojection. Returns (track ids ascending, rays (T,F,3),
+    """One camera's rays over the window frames, from the table's frame
+    index and one unprojection. Returns (track ids ascending, rays (T,F,3),
     seen (T,F)) over the tracks seen at least once among frames.
     """
     column = {f: k for k, f in enumerate(frames)}
-    tids, rows, cols, pixels = [], [], [], []
-    for tid in sorted(table.tracks[cam]):
-        hits = [(column[f], pix) for f, pix in table.tracks[cam][tid] if f in column]
-        if hits:
-            rows += [len(tids)] * len(hits)
-            cols += [k for k, _ in hits]
-            pixels += [pix for _, pix in hits]
-            tids.append(tid)
+    hits = [(tid, k, pix) for f, k in column.items()
+            for tid, pix in table.frame_obs[cam].get(f, {}).items()]
+    tids = sorted({tid for tid, _, _ in hits})
+    row_of = {tid: r for r, tid in enumerate(tids)}
+    rows = [row_of[tid] for tid, _, _ in hits]
+    cols = [k for _, k, _ in hits]
+    pixels = [pix for _, _, pix in hits]
     rays = np.zeros((len(tids), len(frames), 3))
     seen = np.zeros((len(tids), len(frames)), dtype=bool)
     rays[rows, cols] = unproject_many(np.reshape(pixels, (-1, 2)), intr)

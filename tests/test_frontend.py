@@ -174,6 +174,123 @@ class TestTrackTable:
         assert table.lifespan(1, 0) == 6
 
 
+def scan_observations_at(table, cam, frame):
+    """observations_at by a scan of every track: the reference."""
+    return sorted(
+        ((tid, pix) for tid, obs in table.tracks[cam].items() for f, pix in obs if f == frame),
+        key=lambda item: item[0],
+    )
+
+
+def scan_frames(table):
+    firsts = [obs[0][0] for cam_tracks in table.tracks for obs in cam_tracks.values()]
+    return list(range(min(firsts + [table.last_frame]), table.last_frame + 1))
+
+
+def scan_stability(table, cam, window):
+    start, end = window
+    counts = [sum(1 for f, _ in obs if start <= f <= end) for obs in table.tracks[cam].values()]
+    counts = [n for n in counts if n > 0]
+    return float(np.mean(counts)) if counts else 0.0
+
+
+def scan_parallax(table, cam, span, end):
+    """Per-track np.linalg.norm, averaged in the order of tracks."""
+    disps = []
+    for obs in table.tracks[cam].values():
+        by_frame = dict(obs)
+        if end - span in by_frame and end in by_frame:
+            disps.append(np.linalg.norm(by_frame[end] - by_frame[end - span]))
+    return float(np.mean(disps)) if disps else 0.0
+
+
+@pytest.fixture(scope="module")
+def sim_table():
+    """Track table of a rendered 4-camera run with 0.5 px noise and 5 % dropout."""
+    from conftest import make_test_rig
+    from rigvo.simulator import (
+        NoiseSpec, TrajectorySpec, generate_trajectory, render_observations, sample_landmarks,
+    )
+
+    traj = generate_trajectory(TrajectorySpec("lemniscate", 40, speed=3.0))
+    cloud = sample_landmarks(400, traj, (3.0, 25.0), seed=3)
+    noise = NoiseSpec(pixel_sigma=0.5, dropout_prob=0.05, seed=4)
+    return render_observations(make_test_rig(4), traj, cloud, noise).tracks
+
+
+class TestTrackIndex:
+    """The frame index answers every query as a scan of tracks does."""
+
+    def test_ingest_order_is_not_id_order(self, sim_table):
+        # the simulator ingests in landmark order, so window_parallax must
+        # restore creation order itself to match the scan bit for bit
+        assert any(
+            list(obs) != sorted(obs) for cam_frames in sim_table.frame_obs
+            for obs in cam_frames.values()
+        )
+
+    def test_observations_at_and_frames(self, sim_table):
+        assert sim_table.frames() == scan_frames(sim_table)
+        for cam in range(sim_table.n_cameras):
+            for f in range(-1, sim_table.last_frame + 2):
+                got = sim_table.observations_at(cam, f)
+                want = scan_observations_at(sim_table, cam, f)
+                assert [tid for tid, _ in got] == [tid for tid, _ in want]
+                # the index holds the arrays of tracks, not copies
+                assert all(a is b for (_, a), (_, b) in zip(got, want))
+
+    def test_track_stability(self, sim_table):
+        for cam in range(sim_table.n_cameras):
+            for end in range(sim_table.last_frame + 1):
+                for span in range(11):
+                    window = (end - span, end)
+                    assert track_stability(sim_table, cam, window) == scan_stability(
+                        sim_table, cam, window
+                    )
+
+    def test_window_parallax_bitwise(self, sim_table):
+        for cam in range(sim_table.n_cameras):
+            for end in range(sim_table.last_frame + 1):
+                for span in range(1, 11):
+                    assert sim_table.window_parallax(cam, span, end) == scan_parallax(
+                        sim_table, cam, span, end
+                    )
+
+    def test_update_parallax_matches_scan(self, sim_table):
+        table = FeatureTrackTable(sim_table.n_cameras)
+        for f in range(sim_table.last_frame + 1):
+            obs = [scan_observations_at(sim_table, cam, f) for cam in range(table.n_cameras)]
+            par = update_track_table(table, f, obs)
+            for cam in range(table.n_cameras):
+                first = min((obs[0][0] for obs in table.tracks[cam].values()), default=f)
+                span = min(10, f - first)
+                want = scan_parallax(table, cam, span, f) / span if span > 0 else 0.0
+                assert par[cam] == want
+
+    def test_duplicate_enters_neither_index(self):
+        table = FeatureTrackTable(1)
+        first, second = np.array([1.0, 1.0]), np.array([2.0, 2.0])
+        update_track_table(table, 0, [[(7, first), (7, second)]])
+        assert table.tracks[0][7] == [(0, first)]
+        assert table.frame_obs[0][0] == {7: first}
+        assert table.diagnostics == ["frame 0 cam 0: duplicate track id 7 rejected"]
+
+    def test_non_increasing_frame_enters_neither_index(self):
+        table = FeatureTrackTable(1)
+        kept = np.array([1.0, 1.0])
+        update_track_table(table, 0, [[(7, np.array([0.0, 0.0]))]])
+        update_track_table(table, 1, [[(7, kept)]])
+        # the consecutive-frame check leaves only a rewound table to the
+        # per-track check
+        table.last_frame = 0
+        update_track_table(table, 1, [[(7, np.array([5.0, 5.0])), (9, np.array([3.0, 3.0]))]])
+        assert [f for f, _ in table.tracks[0][7]] == [0, 1]
+        assert table.frame_obs[0][1][7] is kept
+        assert list(table.frame_obs[0][1]) == [7, 9]
+        assert table.frame_obs[0][1][9] is table.tracks[0][9][0][1]
+        assert table.diagnostics == ["frame 1 cam 0: non-increasing frame for track 7"]
+
+
 class TestStability:
     def test_full_window(self):
         table = FeatureTrackTable(1)

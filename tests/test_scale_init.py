@@ -5,6 +5,7 @@ import pytest
 
 from rigvo.geometry import Pose, RigConfig, CameraExtrinsic, rotation_angle
 from rigvo.initialization import (
+    _window_rays,
     check_initialization_ready,
     estimate_window_scales,
     initialize_state,
@@ -218,6 +219,49 @@ class TestReadyCheck:
         ready, principal, _ = check_initialization_ready(table)
         assert ready
         assert principal == 0
+
+
+class TestWholeRunTable:
+    """The gate and the window rays read only the window's frames: a table
+    holding a whole 120-frame run gives what the window's own table gives."""
+
+    WINDOW_ENDS = (10, 60, 119)
+
+    @pytest.fixture(scope="class")
+    def tables(self):
+        rig = make_test_rig(4)
+        traj = generate_trajectory(TrajectorySpec("lemniscate", 120, speed=3.0))
+        cloud = sample_landmarks(500, traj, (3.0, 25.0), seed=7)
+        whole = render_observations(rig, traj, cloud, NoiseSpec(dropout_prob=0.05, seed=8)).tracks
+        windows = {}
+        for end in self.WINDOW_ENDS:
+            table = FeatureTrackTable(rig.n_cameras)
+            for f in range(end - 10, end + 1):
+                update_track_table(
+                    table, f, [whole.observations_at(cam, f) for cam in range(rig.n_cameras)]
+                )
+            windows[end] = table
+        return rig, whole, windows
+
+    def test_gate_matches_window_table(self, tables):
+        _, whole, windows = tables
+        ready = []
+        for end, window in windows.items():
+            got = check_initialization_ready(whole, end_frame=end)
+            assert got == check_initialization_ready(window)
+            ready.append(got[0])
+        assert any(ready)  # so that the principal camera is compared too
+
+    def test_window_rays_match_window_table(self, tables):
+        rig, whole, windows = tables
+        for end, window in windows.items():
+            frames = list(range(end - 10, end + 1))
+            for cam in range(rig.n_cameras):
+                tids, rays, seen = _window_rays(whole, cam, rig.intrinsic(cam), frames)
+                w_tids, w_rays, w_seen = _window_rays(window, cam, rig.intrinsic(cam), frames)
+                assert tids == w_tids
+                np.testing.assert_array_equal(rays, w_rays)
+                np.testing.assert_array_equal(seen, w_seen)
 
 
 class TestEndToEndInit:
