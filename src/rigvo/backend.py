@@ -29,6 +29,9 @@ KEYFRAME_TRACKED_RATIO = 0.5
 SCALE_FIXED_POINT_TOL = 1e-4
 SCALE_EVIDENCE_K = 3.0  # correct only when |s_hat - 1| > k standard errors
 SCALE_MAX_PASSES = 10
+BA_STEP_TOL = 1e-8  # optimize_window converges below this accepted step norm
+MIN_LANDMARK_OBS = 2  # prune_landmarks drops landmarks with fewer in-window observations
+MIN_SCALE_FRAME_OBS = 4  # landmarks a camera needs in a frame for its scale PnP
 
 
 @dataclass
@@ -72,7 +75,7 @@ class MarginalizationPrior:
     lin_pos: dict  # frame -> (3,)
     h: np.ndarray
     b: np.ndarray
-    constant: float = 0.0
+    dropped_eigenvalues: int = 0  # Schur eigenvalues at or below EIG_FLOOR
 
     @property
     def dimension(self):
@@ -89,7 +92,7 @@ class MarginalizationPrior:
 
     def cost(self, poses):
         d = self.delta(poses)
-        return float(0.5 * d @ self.h @ d + self.b @ d + self.constant)
+        return float(0.5 * d @ self.h @ d + self.b @ d)
 
 
 class SlidingWindowState:
@@ -388,8 +391,7 @@ def _schur(h, b, removed):
     return 0.5 * (h_new + h_new.T), b[retained] - gain @ b[removed], int((~floored).sum())
 
 
-def optimize_window(state: SlidingWindowState, observations, rig, max_iters=10,
-                    step_tol=1e-8, robust=True):
+def optimize_window(state: SlidingWindowState, observations, rig, max_iters=10, robust=True):
     """Trust-region damped Gauss-Newton over the window.
 
     Landmarks are eliminated per iteration through their diagonal block;
@@ -402,7 +404,7 @@ def optimize_window(state: SlidingWindowState, observations, rig, max_iters=10,
 
     Returns an info dict with the accepted-cost trace, the observation
     count and a status saying why the loop stopped:
-    "converged" (the accepted step fell below step_tol), "max_iters" (the
+    "converged" (the accepted step fell below BA_STEP_TOL), "max_iters" (the
     iteration budget ran out first) or "stalled" (no damped step lowered
     the cost).
     """
@@ -478,7 +480,7 @@ def optimize_window(state: SlidingWindowState, observations, rig, max_iters=10,
         cost = new_cost
         trace.append(cost)
         lam_damp = max(lam_damp * 0.3, 1e-8)
-        if step_norm < step_tol:
+        if step_norm < BA_STEP_TOL:
             status = "converged"
             break
 
@@ -543,11 +545,8 @@ def marginalize_oldest(state: SlidingWindowState, observations, rig):
         lin_pos={f: state.poses[f].t.copy() for f in retained_frames},
         h=h_new,
         b=b_new,
+        dropped_eigenvalues=n_dropped,
     )
-    if n_dropped:
-        prior.diagnostic = (
-            f"marginalization: {n_dropped} eigenvalues below floor, pseudo-inverse applied"
-        )
 
     for key in marg_keys:
         del state.landmarks[key]
@@ -607,7 +606,7 @@ def discard_second_newest(state: SlidingWindowState, observations, rig):
 def _prior_without_frame(prior: MarginalizationPrior, frame):
     """Schur-complement one pose block out of a prior."""
     idx = prior.frames.index(frame)
-    h_new, b_new, _ = _schur(prior.h, prior.b, np.arange(6 * idx, 6 * idx + 6))
+    h_new, b_new, n_dropped = _schur(prior.h, prior.b, np.arange(6 * idx, 6 * idx + 6))
     frames = [f for f in prior.frames if f != frame]
     return MarginalizationPrior(
         frames=frames,
@@ -615,7 +614,7 @@ def _prior_without_frame(prior: MarginalizationPrior, frame):
         lin_pos={f: prior.lin_pos[f] for f in frames},
         h=h_new,
         b=b_new,
-        constant=prior.constant,
+        dropped_eigenvalues=n_dropped,
     )
 
 
@@ -626,18 +625,18 @@ def keyframe_decision(window_parallax_px, tracked_ratio):
     return "discard_second_newest"
 
 
-def prune_landmarks(state: SlidingWindowState, observations, min_obs=2):
-    """Drop landmarks with fewer than min_obs in-window observations."""
+def prune_landmarks(state: SlidingWindowState, observations):
+    """Drop landmarks with fewer than MIN_LANDMARK_OBS in-window observations."""
     counts = {}
     for o in observations:
         if o.frame in state.poses:
             counts[(o.camera, o.track_id)] = counts.get((o.camera, o.track_id), 0) + 1
     for key in list(state.landmarks):
-        if counts.get(key, 0) < min_obs:
+        if counts.get(key, 0) < MIN_LANDMARK_OBS:
             del state.landmarks[key]
 
 
-def correct_scale(state: SlidingWindowState, observations, rig, min_frame_obs=4):
+def correct_scale(state: SlidingWindowState, observations, rig):
     """Per-camera residual scale estimation and inverse-depth correction.
 
     For each camera, a camera-only trajectory is re-estimated over the
@@ -672,7 +671,7 @@ def correct_scale(state: SlidingWindowState, observations, rig, min_frame_obs=4)
     applied = {}
     for c in range(rig.n_cameras):
         for n_pass in range(SCALE_MAX_PASSES):
-            estimate = _camera_scale(state, rays_by_cam_frame, rig, c, min_frame_obs)
+            estimate = _camera_scale(state, rays_by_cam_frame, rig, c, MIN_SCALE_FRAME_OBS)
             if estimate is None:
                 break
             s_hat, sigma = estimate

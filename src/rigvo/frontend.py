@@ -8,8 +8,9 @@ covers 11 consecutive frames.
 A FeatureTrackTable keeps two indexes over the same pixel arrays: tracks
 (camera -> track id -> observations in frame order, ids in creation order)
 and frame_obs (camera -> frame -> track id -> pixel, ids in ingest order).
-Ingest appends to both; every query reads frame_obs, so its cost is that of
-the observations in the frames it asks about, not of the whole run.
+Ingest only appends to both and computes nothing; every query reads
+frame_obs, so its cost is that of the observations in the frames it asks
+about, not of the whole run.
 """
 
 from __future__ import annotations
@@ -47,8 +48,9 @@ class FeatureTrackTable:
     as tracks. first_seen[cam] is the camera's first observed frame, None
     before its first observation.
 
-    Queries read frame_obs, so a call costs O(observations in the frames it
-    asks about), however many frames the table holds.
+    update_track_table only stores. Queries read frame_obs, so a call costs
+    O(observations in the frames it asks about), however many frames the
+    table holds, and each one orders tracks by ascending id.
     """
 
     def __init__(self, n_cameras):
@@ -58,9 +60,6 @@ class FeatureTrackTable:
         self.first_seen = [None] * n_cameras
         self.last_frame = None
         self.diagnostics = []
-        # tid -> creation index, so that window_parallax averages in the
-        # order of tracks whatever the ingest order within a frame
-        self._created = [{} for _ in range(n_cameras)]
 
     def observations_at(self, cam, frame):
         """List of (track_id, pixel) observed by a camera at a frame."""
@@ -83,8 +82,8 @@ class FeatureTrackTable:
         """Mean endpoint pixel displacement of tracks alive across the span.
 
         Considers tracks observed at both end_frame - span and end_frame,
-        averaged in track creation order; returns 0.0 when no track covers
-        the span.
+        averaged in ascending track-id order whatever the ingest order;
+        returns 0.0 when no track covers the span.
         """
         end = self.last_frame if end_frame is None else end_frame
         if end is None:
@@ -94,21 +93,20 @@ class FeatureTrackTable:
         common = [tid for tid in end_obs if tid in start_obs]
         if not common:
             return 0.0
-        common.sort(key=self._created[cam].__getitem__)
+        common.sort()
         d = np.array([end_obs[t] for t in common]) - np.array([start_obs[t] for t in common])
         # vecdot is the dot product np.linalg.norm takes per row: same bits
         return float(np.mean(np.sqrt(np.vecdot(d, d))))
 
 
-def update_track_table(table: FeatureTrackTable, frame_index, per_camera_obs, window_span=10):
-    """Ingest one frame of observations; returns per-camera mean parallax.
+def update_track_table(table: FeatureTrackTable, frame_index, per_camera_obs):
+    """Ingest one frame of observations into both indexes; returns None.
 
     per_camera_obs: for each camera, an iterable of (track_id, pixel).
-    The returned parallax is the mean per-frame pixel displacement of
-    tracks alive across the trailing window (endpoint displacement divided
-    by the covered span). Duplicate ids within one camera frame are
-    rejected with a diagnostic; the first occurrence is kept. A rejected
-    observation enters neither index.
+    Nothing is computed here: parallax and stability are queries
+    (FeatureTrackTable.window_parallax, track_stability). Duplicate ids
+    within one camera frame are rejected with a diagnostic; the first
+    occurrence is kept. A rejected observation enters neither index.
     """
     if table.last_frame is not None and frame_index != table.last_frame + 1:
         raise ValueError(
@@ -118,7 +116,7 @@ def update_track_table(table: FeatureTrackTable, frame_index, per_camera_obs, wi
         raise ValueError("observation list does not match camera count")
 
     for cam, obs_list in enumerate(per_camera_obs):
-        tracks, created = table.tracks[cam], table._created[cam]
+        tracks = table.tracks[cam]
         frame_obs = table.frame_obs[cam].setdefault(frame_index, {})
         seen = set()
         for tid, pixel in obs_list:
@@ -135,25 +133,12 @@ def update_track_table(table: FeatureTrackTable, frame_index, per_camera_obs, wi
                     f"frame {frame_index} cam {cam}: non-increasing frame for track {tid}"
                 )
                 continue
-            if not track:
-                created[tid] = len(created)
             track.append((frame_index, pix))
             frame_obs[tid] = pix
         if frame_obs and table.first_seen[cam] is None:
             table.first_seen[cam] = frame_index
 
     table.last_frame = frame_index
-
-    parallax = []
-    for cam in range(table.n_cameras):
-        first = table.first_seen[cam]
-        span = 0 if first is None else min(window_span, frame_index - first)
-        if span <= 0:
-            parallax.append(0.0)
-            continue
-        total = table.window_parallax(cam, span, frame_index)
-        parallax.append(total / span)
-    return parallax
 
 
 def track_stability(table: FeatureTrackTable, cam, window):

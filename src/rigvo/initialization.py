@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .backend import Landmark, SlidingWindowState
+from .backend import WINDOW_CAPACITY, Landmark, SlidingWindowState
 from .frontend import FeatureTrackTable, track_stability
 from .geometry import RigConfig, unproject_many
 from .scale import (
@@ -22,13 +22,11 @@ from .scale import (
 )
 from .sfm import SfmFailure, monocular_sfm_window, triangulate_many
 
-INIT_WINDOW_SPAN = 10  # frames of motion; the window holds span+1 poses
+INIT_WINDOW_SPAN = WINDOW_CAPACITY - 1  # frames of motion; the window holds span+1 poses
 PARALLAX_THRESHOLD_PX = 30.0
 
 
-def check_initialization_ready(table: FeatureTrackTable, end_frame=None,
-                               span=INIT_WINDOW_SPAN,
-                               parallax_threshold=PARALLAX_THRESHOLD_PX):
+def check_initialization_ready(table: FeatureTrackTable, end_frame=None):
     """Window gating: every camera must clear the parallax threshold.
 
     Returns (ready, principal_camera, per-camera window parallax). The
@@ -37,16 +35,16 @@ def check_initialization_ready(table: FeatureTrackTable, end_frame=None,
     """
     end = table.last_frame if end_frame is None else end_frame
     first = table.first_frame  # None only for an empty table
-    if first is None or end - span < first:
+    if first is None or end - INIT_WINDOW_SPAN < first:
         return False, None, [0.0] * table.n_cameras
     parallax = [
-        table.window_parallax(cam, span, end) for cam in range(table.n_cameras)
+        table.window_parallax(cam, INIT_WINDOW_SPAN, end) for cam in range(table.n_cameras)
     ]
-    ready = all(p > parallax_threshold for p in parallax)
+    ready = all(p > PARALLAX_THRESHOLD_PX for p in parallax)
     principal = None
     if ready:
         stabilities = [
-            track_stability(table, cam, (end - span, end))
+            track_stability(table, cam, (end - INIT_WINDOW_SPAN, end))
             for cam in range(table.n_cameras)
         ]
         principal = int(np.argmax(stabilities))
@@ -120,8 +118,7 @@ def estimate_window_scales(trajectories, rig: RigConfig):
 
 
 def initialize_state(trajectories, estimate: ScaleEstimate, table: FeatureTrackTable,
-                     rig: RigConfig, principal, frames,
-                     capacity=INIT_WINDOW_SPAN + 1) -> SlidingWindowState:
+                     rig: RigConfig, principal, frames) -> SlidingWindowState:
     """Assemble the first sliding-window state.
 
     Body poses come from the principal camera's hypothesis at its solved
@@ -149,7 +146,7 @@ def initialize_state(trajectories, estimate: ScaleEstimate, table: FeatureTrackT
     hyp = body_hypothesis(
         trajectories[principal], rig.extrinsic(principal), scale_of[principal]
     )
-    state = SlidingWindowState(capacity=max(capacity, len(frames)))
+    state = SlidingWindowState(capacity=max(WINDOW_CAPACITY, len(frames)))
     for k, f in enumerate(frames):
         state.add_frame(f, hyp.poses[k].copy())
 

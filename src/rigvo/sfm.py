@@ -17,6 +17,8 @@ from .geometry import Pose, skew, so3_exp
 RANSAC_ITERS = 200
 MIN_EPIPOLAR_MATCHES = 8
 LOW_PARALLAX_ANGLE = 1e-4  # rad, rays closer than this are untriangulable
+MAP_PARALLAX_THRESHOLDS = 5.0  # inlier thresholds; below, triangulation is noise
+REFINE_PASSES = 2  # retriangulate-and-resolve passes of monocular_sfm_window
 
 
 class SfmFailure(Exception):
@@ -148,7 +150,7 @@ def triangulate_pair(pose_a: Pose, pose_b: Pose, rays_a, rays_b, min_angle=LOW_P
     return points, depths[:, 0], depths[:, 1], ok
 
 
-def estimate_relative_pose(rays_a, rays_b, inlier_threshold=0.002, rng=None, ransac_iters=RANSAC_ITERS):
+def estimate_relative_pose(rays_a, rays_b, inlier_threshold=0.002, rng=None):
     """Relative pose of view b in view a's frame from matched unit rays.
 
     Random-sample 8-point fitting with angular epipolar residuals, followed
@@ -169,7 +171,7 @@ def estimate_relative_pose(rays_a, rays_b, inlier_threshold=0.002, rng=None, ran
 
     best_mask = None
     best_count = -1
-    for _ in range(ransac_iters):
+    for _ in range(RANSAC_ITERS):
         idx = rng.choice(n, size=MIN_EPIPOLAR_MATCHES, replace=False)
         try:
             e_mat = _eight_point(rays_a[idx], rays_b[idx])
@@ -359,8 +361,7 @@ def pnp_refine(points, rays, initial: Pose, max_iters=100, step_tol=1e-10, extri
     return Pose.from_rt(rot, t)
 
 
-def monocular_sfm_window(ray_obs, camera_index=0, inlier_threshold=0.002, rng=None,
-                         refine_passes=2, min_map_parallax=None):
+def monocular_sfm_window(ray_obs, camera_index=0, inlier_threshold=0.002, rng=None):
     """Windowed monocular SfM from per-frame ray observations.
 
     ray_obs: list over frames of {track_id: unit ray}. Picks the frame pair
@@ -372,8 +373,8 @@ def monocular_sfm_window(ray_obs, camera_index=0, inlier_threshold=0.002, rng=No
     order, each frame's PnP correspondence order; each growth of the map and
     each refine pass is one triangulate_many call over its candidate tracks.
 
-    Map points must subtend at least min_map_parallax (default 5x the
-    inlier threshold: below that, triangulation is noise-dominated).
+    Map points must subtend at least MAP_PARALLAX_THRESHOLDS times the
+    inlier threshold; REFINE_PASSES passes retriangulate and re-solve.
 
     Returns a CameraSfmTrajectory; raises SfmFailure when any stage fails.
     """
@@ -381,8 +382,7 @@ def monocular_sfm_window(ray_obs, camera_index=0, inlier_threshold=0.002, rng=No
     n_frames = len(ray_obs)
     if n_frames < 2:
         raise SfmFailure("window too short")
-    if min_map_parallax is None:
-        min_map_parallax = 5.0 * inlier_threshold
+    min_map_parallax = MAP_PARALLAX_THRESHOLDS * inlier_threshold
     huber = 2.0 * inlier_threshold
 
     row_of = {tid: k for k, tid in enumerate(sorted({t for obs in ray_obs for t in obs}))}
@@ -464,7 +464,7 @@ def monocular_sfm_window(ray_obs, camera_index=0, inlier_threshold=0.002, rng=No
         map_tracks(np.flatnonzero(~mapped), sorted(solved))
 
     all_frames = list(range(n_frames))
-    for _ in range(refine_passes):
+    for _ in range(REFINE_PASSES):
         # retriangulate every track from all observing frames, then re-solve
         mapped[:] = False
         map_tracks(np.arange(len(row_of)), all_frames)

@@ -10,12 +10,12 @@ independent so parallel rendering would agree with serial.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .frontend import FeatureTrackTable, update_track_table
-from .geometry import Pose, RigConfig, project, unproject
+from .geometry import CameraModel, Pose, RigConfig, project, unproject
 from .sfm import CameraSfmTrajectory
 
 TRAJECTORY_KINDS = ("circle", "lemniscate", "straight_line", "smooth_random")
@@ -71,8 +71,6 @@ class SimOutput:
     tracks: FeatureTrackTable
     descriptors: list  # per camera: {(frame, track_id): (32,) uint8}
     track_landmark: list  # per camera: {track_id: landmark_id}
-    frame_rate: float
-    warnings: list = field(default_factory=list)
 
 
 def _yaw_pose(position, tangent):
@@ -167,15 +165,14 @@ def _flip_descriptor(desc, flip_rate, rng):
 def _pixel_in_model(pix, intr):
     if not (0 <= pix[0] < intr.image_width and 0 <= pix[1] < intr.image_height):
         return False
-    if intr.model.value == "equidistant":
+    if intr.model is CameraModel.EQUIDISTANT:
         mx = (pix[0] - intr.cx) / intr.fx
         my = (pix[1] - intr.cy) / intr.fy
         return math.hypot(mx, my) < intr.fov_limit
     return True
 
 
-def render_observations(rig: RigConfig, trajectory, cloud: LandmarkCloud, noise: NoiseSpec,
-                        frame_rate=10.0):
+def render_observations(rig: RigConfig, trajectory, cloud: LandmarkCloud, noise: NoiseSpec):
     """Project the cloud through every camera at every frame.
 
     Tracks carry the landmark identity until a dropout event or a
@@ -183,7 +180,6 @@ def render_observations(rig: RigConfig, trajectory, cloud: LandmarkCloud, noise:
     noise and descriptor bit flips follow per-camera independent streams.
     """
     n_cams = rig.n_cameras
-    n_frames = len(trajectory)
     rmin, rmax = cloud.depth_range
 
     streams = np.random.SeedSequence(noise.seed).spawn(n_cams)
@@ -194,12 +190,12 @@ def render_observations(rig: RigConfig, trajectory, cloud: LandmarkCloud, noise:
     track_landmark = [dict() for _ in range(n_cams)]
     active = [dict() for _ in range(n_cams)]  # landmark id -> open track id
     next_tid = [0] * n_cams
-    empty_frames = [0] * n_cams
 
     for t, body in enumerate(trajectory):
         per_cam_obs = []
         for c in range(n_cams):
             intr = rig.intrinsic(c)
+            pinhole = intr.model is CameraModel.PINHOLE
             cam_pose = body.compose(rig.extrinsic(c).cam_in_body)
             rot_t = cam_pose.rotation.T
             rng = rngs[c]
@@ -207,7 +203,7 @@ def render_observations(rig: RigConfig, trajectory, cloud: LandmarkCloud, noise:
             new_active = {}
             for lm in range(len(cloud)):
                 p_cam = rot_t @ (cloud.points[lm] - cam_pose.t)
-                depth = p_cam[2] if intr.model.value == "pinhole" else np.linalg.norm(p_cam)
+                depth = p_cam[2] if pinhole else np.linalg.norm(p_cam)
                 if not rmin <= depth <= rmax:
                     continue
                 pix = project(p_cam, intr)
@@ -244,25 +240,14 @@ def render_observations(rig: RigConfig, trajectory, cloud: LandmarkCloud, noise:
                 obs.append((tid, pix))
                 descriptors[c][(t, tid)] = desc.copy()
             active[c] = new_active
-            if not obs:
-                empty_frames[c] += 1
             per_cam_obs.append(obs)
         update_track_table(table, t, per_cam_obs)
-
-    warnings = []
-    for c in range(n_cams):
-        if empty_frames[c] > 0.5 * n_frames:
-            warnings.append(
-                f"camera {c} saw no landmarks in {empty_frames[c]}/{n_frames} frames"
-            )
 
     return SimOutput(
         gt_body_trajectory=list(trajectory),
         tracks=table,
         descriptors=descriptors,
         track_landmark=track_landmark,
-        frame_rate=frame_rate,
-        warnings=warnings,
     )
 
 

@@ -275,6 +275,38 @@ class TestMarginalization:
         vals = np.linalg.eigvalsh(prior.h)
         assert vals.min() >= -prior.h.shape[0] * np.finfo(float).eps * vals.max()
 
+    def test_dropped_eigenvalues_counted(self):
+        rig = make_test_rig(4)
+
+        def window(seen_in_frame_1):
+            # three frames, one landmark anchored at the oldest frame
+            state = SlidingWindowState()
+            rng = np.random.default_rng(68)
+            for f in range(3):
+                state.add_frame(f, Pose(t=rng.normal(size=3)))
+            ray = np.array([0.1, 0.0, 1.0]) / np.linalg.norm([0.1, 0.0, 1.0])
+            state.landmarks[(0, 0)] = Landmark(0, 0, 0, ray, 0.2)
+            ext = rig.extrinsic(0).cam_in_body
+            point = state.poses[0].compose(ext).apply(ray / 0.2)
+            cam1 = state.poses[1].compose(ext)
+            p_cam = cam1.rotation.T @ (point - cam1.t)
+            obs = [ReprojObservation(0, 0, 1, p_cam[:2] / p_cam[2], 0.01)]
+            return state, obs if seen_in_frame_1 else []
+
+        # unobserved: no factor at all, so the whole oldest pose block drops
+        state, obs = window(False)
+        assert marginalize_oldest(state, obs, rig).dropped_eigenvalues == 6
+        # a prior of zeros loses a whole pose block again in _prior_without_frame
+        discard_second_newest(state, obs, rig)
+        assert state.prior.frames == [2]
+        assert state.prior.dropped_eigenvalues == 6
+        # one 2-D observation gives the 7 removed parameters rank 2
+        state, obs = window(True)
+        assert marginalize_oldest(state, obs, rig).dropped_eigenvalues == 5
+        rig4, traj, cloud, sim = make_sim(NoiseSpec(pixel_sigma=0.5, seed=69))
+        state, observations = build_gt_window(rig4, traj, sim, range(11))
+        assert marginalize_oldest(state, observations, rig4).dropped_eigenvalues == 0
+
     def test_marginalization_matches_full_batch(self):
         # 12 noiseless frames: optimize full batch; separately marginalize
         # the oldest and optimize the shrunk window with the prior; retained
