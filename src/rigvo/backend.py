@@ -147,7 +147,8 @@ def reprojection_residual(state: SlidingWindowState, obs: ReprojObservation, rig
 
 
 class _Problem:
-    """Batched residual/Jacobian evaluation over a window's observations."""
+    """Batched evaluation over a window's observations, indexed once at
+    construction: residuals() for costs, evaluate() adding the Jacobian."""
 
     def __init__(self, state, observations, rig, gauge="oldest"):
         self.state = state
@@ -195,6 +196,9 @@ class _Problem:
             self.lm_idx[i] = lm_col[(o.camera, o.track_id)]
             self.coords[i] = o.coords
             self.weight[i] = 1.0 / o.sigma
+        # each observation's anchor and target pose column, -1 where fixed
+        col_of_slot = np.array([self.slot_col.get(s, -1) for s in range(len(frames))], dtype=int)
+        self.a_col, self.b_col = col_of_slot[self.a_slot], col_of_slot[self.b_slot]
 
         n_cams = rig.n_cameras
         self.ext_rot = np.stack(
@@ -229,33 +233,44 @@ class _Problem:
         w = self.weight[:, None]
         return res * w, jac * w[:, :, None], valid
 
+    def residuals(self, rots, pos, lam):
+        """evaluate's whitened residuals and mask, bit for bit, sans Jacobian."""
+        res, valid, _ = self._project(rots, pos, lam)
+        return res * self.weight[:, None], valid
+
     def evaluate_raw(self):
         rots, pos, lam = self.current_values()
         return self._evaluate_core(rots, pos, lam)
 
-    def _evaluate_core(self, rots, pos, lam):
-        k = len(self.observations)
-        if k == 0:
-            return np.zeros((0, 2)), np.zeros((0, 2, 13)), np.zeros(0, dtype=bool)
+    def _project(self, rots, pos, lam):
+        """The residual chain: unwhitened residuals (gated rows zero), the
+        validity mask, and the intermediates the Jacobian reuses."""
         rays = self.anchor_rays[self.lm_idx]
         lam_k = lam[self.lm_idx]
         r_e = self.ext_rot[self.cam]
         t_e = self.ext_t[self.cam]
         r_a = rots[self.a_slot]
-        p_a = pos[self.a_slot]
         r_b = rots[self.b_slot]
-        p_b = pos[self.b_slot]
 
         p_ac = rays / lam_k[:, None]
         p_ab = np.einsum("kij,kj->ki", r_e, p_ac) + t_e
-        p_w = np.einsum("kij,kj->ki", r_a, p_ab) + p_a
-        p_bb = np.einsum("kji,kj->ki", r_b, p_w - p_b)
+        p_w = np.einsum("kij,kj->ki", r_a, p_ab) + pos[self.a_slot]
+        p_bb = np.einsum("kji,kj->ki", r_b, p_w - pos[self.b_slot])
         p_c = np.einsum("kji,kj->ki", r_e, p_bb - t_e)
 
         z = p_c[:, 2]
         valid = z > Z_GATE
         z_safe = np.where(valid, z, 1.0)
         res = p_c[:, :2] / z_safe[:, None] - self.coords
+        res[~valid] = 0.0
+        return res, valid, (rays, lam_k, r_e, r_a, r_b, p_ab, p_bb, p_c, z_safe)
+
+    def _evaluate_core(self, rots, pos, lam):
+        k = len(self.observations)
+        if k == 0:
+            return np.zeros((0, 2)), np.zeros((0, 2, 13)), np.zeros(0, dtype=bool)
+        res, valid, chain = self._project(rots, pos, lam)
+        rays, lam_k, r_e, r_a, r_b, p_ab, p_bb, p_c, z_safe = chain
 
         inv_z = 1.0 / z_safe
         dproj = np.zeros((k, 2, 3))
@@ -265,26 +280,19 @@ class _Problem:
         dproj[:, 1, 2] = -p_c[:, 1] * inv_z**2
 
         # dP_c/dP_w = (R_b R_e)^T
-        m = np.einsum("kij,kjl->kil", r_b, r_e).transpose(0, 2, 1)
-        d_pw = np.einsum("kij,kjl->kil", dproj, m)  # (k,2,3)
+        d_pw = dproj @ (r_b @ r_e).transpose(0, 2, 1)  # (k,2,3)
 
         jac = np.zeros((k, 2, 13))
         # anchor pose: dP_w/dp = I, dP_w/dtheta = -R_a [P_ab]^
         jac[:, :, 0:3] = d_pw
-        jac[:, :, 3:6] = -np.einsum(
-            "kij,kjl,klm->kim", d_pw, r_a, skew(p_ab)
-        )
+        jac[:, :, 3:6] = -((d_pw @ r_a) @ skew(p_ab))
         # target pose: dP_c/dp_b = -(R_b R_e)^T, dP_c/dtheta_b = R_e^T [P_bb]^
         jac[:, :, 6:9] = -d_pw
-        jac[:, :, 9:12] = np.einsum(
-            "kij,kjl,klm->kim", dproj, r_e.transpose(0, 2, 1), skew(p_bb)
-        )
+        jac[:, :, 9:12] = (dproj @ r_e.transpose(0, 2, 1)) @ skew(p_bb)
         # inverse depth: dP_ac/dlambda = -ray/lambda^2
-        r_total = np.einsum("kij,kjl->kil", m, np.einsum("kij,kjl->kil", r_a, r_e))
         d_ray = -rays / (lam_k**2)[:, None]
-        jac[:, :, 12] = np.einsum("kij,kjl,kl->ki", dproj, r_total, d_ray)
+        jac[:, :, 12] = (d_pw @ (r_a @ (r_e @ d_ray[..., None])))[..., 0]
 
-        res[~valid] = 0.0
         jac[~valid] = 0.0
         return res, jac, valid
 
@@ -309,9 +317,7 @@ def _assemble(prob, res, jac, valid, hw):
     blocks = np.einsum("kri,krj->kij", j, j)  # (K,13,13)
     grads = np.einsum("kri,kr->ki", j, r)  # (K,13)
 
-    a_col = np.array([prob.slot_col.get(s, -1) for s in prob.a_slot])
-    b_col = np.array([prob.slot_col.get(s, -1) for s in prob.b_slot])
-    lm = prob.lm_idx
+    a_col, b_col, lm = prob.a_col, prob.b_col, prob.lm_idx
 
     def scatter_pose_pose(cols_i, cols_j, block):
         mask = (cols_i >= 0) & (cols_j >= 0)
@@ -401,6 +407,8 @@ def optimize_window(state: SlidingWindowState, observations, rig, max_iters=10, 
     the whole window. Steps that raise the cost are rejected and the
     damping increased. robust=False drops the Huber loss (plain least
     squares), for paired robustness comparisons.
+    The Jacobian is formed once per accepted linearization; trial steps
+    evaluate residuals only, which is all their cost needs.
 
     Returns an info dict with the accepted-cost trace, the observation
     count and a status saying why the loop stopped:
@@ -415,7 +423,7 @@ def optimize_window(state: SlidingWindowState, observations, rig, max_iters=10, 
     prior_cols = {f: prob.slot_col[s] for f, s in prob.frame_slot.items() if s in prob.slot_col}
 
     def total_cost(rots_c, pos_c, lam_c):
-        res, _, valid = prob.evaluate(rots_c, pos_c, lam_c)
+        res, valid = prob.residuals(rots_c, pos_c, lam_c)
         _, obs_cost = huber_weights(res[valid], delta_huber)
         prior_cost = 0.0
         if state.prior is not None:
@@ -661,12 +669,13 @@ def correct_scale(state: SlidingWindowState, observations, rig):
         return {}
 
     # (landmark key, ray) per (camera, frame), for every pass
+    used = [o for o in observations
+            if o.frame in state.poses and (o.camera, o.track_id) in state.landmarks]
+    rays = _coords_to_ray(np.array([o.coords for o in used]).reshape(-1, 2))
     rays_by_cam_frame = {}
-    for o in observations:
-        key = (o.camera, o.track_id)
-        if o.frame in state.poses and key in state.landmarks:
-            rays_by_cam_frame.setdefault((o.camera, o.frame), []).append(
-                (key, _coords_to_ray(o.coords)))
+    for o, ray in zip(used, rays):
+        rays_by_cam_frame.setdefault((o.camera, o.frame), []).append(
+            ((o.camera, o.track_id), ray))
 
     applied = {}
     for c in range(rig.n_cameras):
@@ -743,5 +752,7 @@ def _camera_scale(state, rays_by_cam_frame, rig, c, min_frame_obs):
 
 
 def _coords_to_ray(coords):
-    ray = np.array([coords[0], coords[1], 1.0])
-    return ray / np.linalg.norm(ray)
+    """Unit rays (..., 3) through normalized coordinates (..., 2); sqrt(vecdot)
+    matches a per-row np.linalg.norm bit for bit, norm(axis=-1) does not."""
+    ray = np.concatenate([coords, np.ones(np.shape(coords)[:-1] + (1,))], axis=-1)
+    return ray / np.sqrt(np.vecdot(ray, ray))[..., None]

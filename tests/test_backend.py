@@ -17,7 +17,7 @@ from rigvo.backend import (
     prune_landmarks,
     reprojection_residual,
 )
-from rigvo.geometry import Pose, rotation_angle, so3_exp
+from rigvo.geometry import Pose, rotation_angle, skew, so3_exp
 from rigvo.simulator import (
     NoiseSpec,
     TrajectorySpec,
@@ -171,6 +171,71 @@ class TestReprojectionResidual:
 ZERO_ARGS = (np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3), 0.0)
 
 
+def jacobian_reference(prob, rots, pos, lam):
+    """The unwhitened (K,2,13) Jacobian as einsum chains, term by term."""
+    rays = prob.anchor_rays[prob.lm_idx]
+    lam_k = lam[prob.lm_idx]
+    r_e = prob.ext_rot[prob.cam]
+    t_e = prob.ext_t[prob.cam]
+    r_a = rots[prob.a_slot]
+    r_b = rots[prob.b_slot]
+    p_ab = np.einsum("kij,kj->ki", r_e, rays / lam_k[:, None]) + t_e
+    p_w = np.einsum("kij,kj->ki", r_a, p_ab) + pos[prob.a_slot]
+    p_bb = np.einsum("kji,kj->ki", r_b, p_w - pos[prob.b_slot])
+    p_c = np.einsum("kji,kj->ki", r_e, p_bb - t_e)
+    valid = p_c[:, 2] > backend.Z_GATE
+    inv_z = 1.0 / np.where(valid, p_c[:, 2], 1.0)
+    dproj = np.zeros((len(rays), 2, 3))
+    dproj[:, 0, 0] = inv_z
+    dproj[:, 1, 1] = inv_z
+    dproj[:, 0, 2] = -p_c[:, 0] * inv_z**2
+    dproj[:, 1, 2] = -p_c[:, 1] * inv_z**2
+    m = np.einsum("kij,kjl->kil", r_b, r_e).transpose(0, 2, 1)
+    d_pw = np.einsum("kij,kjl->kil", dproj, m)
+    jac = np.zeros((len(rays), 2, 13))
+    jac[:, :, 0:3] = d_pw
+    jac[:, :, 3:6] = -np.einsum("kij,kjl,klm->kim", d_pw, r_a, skew(p_ab))
+    jac[:, :, 6:9] = -d_pw
+    jac[:, :, 9:12] = np.einsum(
+        "kij,kjl,klm->kim", dproj, r_e.transpose(0, 2, 1), skew(p_bb)
+    )
+    r_total = np.einsum("kij,kjl->kil", m, np.einsum("kij,kjl->kil", r_a, r_e))
+    d_ray = -rays / (lam_k**2)[:, None]
+    jac[:, :, 12] = np.einsum("kij,kjl,kl->ki", dproj, r_total, d_ray)
+    jac[~valid] = 0.0
+    return jac
+
+
+def gated_window_problem():
+    """A perturbed 4-camera window with every 7th landmark behind its
+    anchor camera, so some observations are gated out."""
+    rig, traj, cloud, sim = make_sim(NoiseSpec(pixel_sigma=0.5, seed=72))
+    state, observations = build_gt_window(rig, traj, sim, range(11))
+    perturb_state(state, np.random.default_rng(72), rot_mag=0.02, trans_mag=0.05)
+    for lm in list(state.landmarks.values())[::7]:
+        lm.inv_depth = -lm.inv_depth
+    prob = backend._Problem(state, observations, rig)
+    return prob, prob.current_values()
+
+
+class TestSplitKernel:
+    def test_residuals_match_evaluate_bitwise(self):
+        prob, (rots, pos, lam) = gated_window_problem()
+        res, _, valid = prob.evaluate(rots, pos, lam)
+        res_only, valid_only = prob.residuals(rots, pos, lam)
+        assert 0 < valid.sum() < len(valid)
+        np.testing.assert_array_equal(valid_only, valid)
+        np.testing.assert_array_equal(res_only, res)
+
+    def test_jacobian_matches_einsum_reference(self):
+        prob, (rots, pos, lam) = gated_window_problem()
+        _, jac, valid = prob.evaluate_raw()
+        assert 0 < valid.sum() < len(valid)
+        np.testing.assert_allclose(
+            jac, jacobian_reference(prob, rots, pos, lam), rtol=1e-12, atol=1e-12
+        )
+
+
 class TestOptimizeWindow:
     def test_ground_truth_already_optimal(self):
         rig, traj, cloud, sim = make_sim()
@@ -206,6 +271,33 @@ class TestOptimizeWindow:
         optimize_window(state, observations, rig, max_iters=15)
         for lm in state.landmarks.values():
             assert lm.inv_depth > 0
+
+    def test_jacobian_once_per_outer_iteration(self, monkeypatch):
+        # trial steps read residuals only; the Jacobian is built once at
+        # each accepted linearization point, the start included
+        calls = {"core": 0, "residuals": 0}
+        core, residuals = backend._Problem._evaluate_core, backend._Problem.residuals
+
+        def counted_core(self, *args):
+            calls["core"] += 1
+            return core(self, *args)
+
+        def counted_residuals(self, *args):
+            calls["residuals"] += 1
+            return residuals(self, *args)
+
+        monkeypatch.setattr(backend._Problem, "_evaluate_core", counted_core)
+        monkeypatch.setattr(backend._Problem, "residuals", counted_residuals)
+        rig, traj, cloud, sim = make_sim(NoiseSpec(pixel_sigma=0.7, seed=63))
+        state, observations = build_gt_window(rig, traj, sim, range(11))
+        perturb_state(state, np.random.default_rng(63), rot_mag=0.03, trans_mag=0.08)
+        info = optimize_window(state, observations, rig, max_iters=15)
+        accepted = len(info["cost_trace"]) - 1
+        outer = accepted + int(info["status"] == "stalled")
+        assert accepted >= 2
+        assert calls["core"] == outer
+        # the starting cost plus at least one trial step per outer iteration
+        assert calls["residuals"] >= 1 + outer
 
     def test_gauge_fixed_oldest(self):
         rig, traj, cloud, sim = make_sim()
@@ -467,6 +559,17 @@ class TestCorrectScale:
         assert passes == {c: 1 for c in range(rig.n_cameras)}
         assert applied == {c: 1.0 for c in range(rig.n_cameras)}
         assert {k: lm.inv_depth for k, lm in state.landmarks.items()} == before
+
+
+def test_coords_to_ray_batched_matches_per_row():
+    rng = np.random.default_rng(73)
+    pinhole = rng.uniform(-1.2, 1.2, size=(5000, 2))  # up to 59 deg off-axis
+    wide = rng.uniform(-20.0, 20.0, size=(5000, 2))  # up to 88 deg off-axis
+    for coords in (pinhole, wide):
+        rows = [np.array([x, y, 1.0]) for x, y in coords]
+        per_row = np.array([ray / np.linalg.norm(ray) for ray in rows])
+        np.testing.assert_array_equal(backend._coords_to_ray(coords), per_row)
+        np.testing.assert_array_equal(backend._coords_to_ray(coords[0]), per_row[0])
 
 
 def test_prune_landmarks():
