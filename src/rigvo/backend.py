@@ -199,6 +199,25 @@ class _Problem:
         # each observation's anchor and target pose column, -1 where fixed
         col_of_slot = np.array([self.slot_col.get(s, -1) for s in range(len(frames))], dtype=int)
         self.a_col, self.b_col = col_of_slot[self.a_slot], col_of_slot[self.b_slot]
+        # _assemble's bincount targets, fixed with the columns: for each
+        # block it scatters, the observations whose pose columns are free and
+        # the flat indices (rows * width + cols) their entries add to
+        n_p, n_lm = 6 * len(self.free_slots), len(self.lm_order)
+        free_a, free_b = self.a_col >= 0, self.b_col >= 0
+        free_ab = free_a & free_b
+        rows_a, rows_b = (6 * cols[:, None] + np.arange(6) for cols in (self.a_col, self.b_col))
+        ra, rb, ra_ab, rb_ab = rows_a[free_a], rows_b[free_b], rows_a[free_ab], rows_b[free_ab]
+
+        def pose_pose(rows_i, rows_j):
+            return (rows_i[:, :, None] * n_p + rows_j[:, None, :]).reshape(-1)
+
+        self.scatter = [
+            (free_a, pose_pose(ra, ra)), (free_ab, pose_pose(ra_ab, rb_ab)),
+            (free_ab, pose_pose(rb_ab, ra_ab)), (free_b, pose_pose(rb, rb)),
+            (free_a, (ra * n_lm + self.lm_idx[free_a, None]).reshape(-1)),
+            (free_b, (rb * n_lm + self.lm_idx[free_b, None]).reshape(-1)),
+            (free_a, ra.reshape(-1)), (free_b, rb.reshape(-1)),
+        ]
 
         n_cams = rig.n_cameras
         self.ext_rot = np.stack(
@@ -317,46 +336,16 @@ def _assemble(prob, res, jac, valid, hw):
     blocks = np.einsum("kri,krj->kij", j, j)  # (K,13,13)
     grads = np.einsum("kri,kr->ki", j, r)  # (K,13)
 
-    a_col, b_col, lm = prob.a_col, prob.b_col, prob.lm_idx
-
-    def scatter_pose_pose(cols_i, cols_j, block):
-        mask = (cols_i >= 0) & (cols_j >= 0)
-        if not mask.any():
-            return
-        rows = (6 * cols_i[mask, None] + np.arange(6)[None, :])[:, :, None]
-        cols = (6 * cols_j[mask, None] + np.arange(6)[None, :])[:, None, :]
-        flat = (rows * np_params + cols).reshape(-1)
-        h_pp.reshape(-1)[:] += np.bincount(
-            flat, weights=block[mask].reshape(-1), minlength=np_params**2
+    pieces = (blocks[:, 0:6, 0:6], blocks[:, 0:6, 6:12], blocks[:, 6:12, 0:6],
+              blocks[:, 6:12, 6:12], blocks[:, 0:6, 12], blocks[:, 6:12, 12],
+              grads[:, 0:6], grads[:, 6:12])
+    targets = (h_pp,) * 4 + (h_pl,) * 2 + (g_p,) * 2
+    for target, (keep, flat), piece in zip(targets, prob.scatter, pieces):
+        target.reshape(-1)[:] += np.bincount(
+            flat, weights=piece[keep].reshape(-1), minlength=target.size
         )
-
-    def scatter_pose_lm(cols_i, block):
-        mask = cols_i >= 0
-        if not mask.any():
-            return
-        rows = 6 * cols_i[mask, None] + np.arange(6)[None, :]
-        flat = (rows * n_lm + lm[mask, None]).reshape(-1)
-        h_pl.reshape(-1)[:] += np.bincount(
-            flat, weights=block[mask].reshape(-1), minlength=np_params * n_lm
-        )
-
-    def scatter_grad(cols_i, vals):
-        mask = cols_i >= 0
-        if not mask.any():
-            return
-        rows = (6 * cols_i[mask, None] + np.arange(6)[None, :]).reshape(-1)
-        g_p[:] += np.bincount(rows, weights=vals[mask].reshape(-1), minlength=np_params)
-
-    scatter_pose_pose(a_col, a_col, blocks[:, 0:6, 0:6])
-    scatter_pose_pose(a_col, b_col, blocks[:, 0:6, 6:12])
-    scatter_pose_pose(b_col, a_col, blocks[:, 6:12, 0:6])
-    scatter_pose_pose(b_col, b_col, blocks[:, 6:12, 6:12])
-    scatter_pose_lm(a_col, blocks[:, 0:6, 12])
-    scatter_pose_lm(b_col, blocks[:, 6:12, 12])
-    h_ll[:] = np.bincount(lm, weights=blocks[:, 12, 12], minlength=n_lm)
-    scatter_grad(a_col, grads[:, 0:6])
-    scatter_grad(b_col, grads[:, 6:12])
-    g_l[:] = np.bincount(lm, weights=grads[:, 12], minlength=n_lm)
+    h_ll[:] = np.bincount(prob.lm_idx, weights=blocks[:, 12, 12], minlength=n_lm)
+    g_l[:] = np.bincount(prob.lm_idx, weights=grads[:, 12], minlength=n_lm)
     return h_pp, h_pl, h_ll, g_p, g_l
 
 

@@ -48,26 +48,35 @@ class CameraSfmTrajectory:
 
 
 def _eight_point(rays_a, rays_b):
-    """Essential matrix from ray correspondences (direct linear solve)."""
-    a = np.einsum("ni,nj->nij", rays_b, rays_a).reshape(len(rays_a), 9)
+    """Essential matrices from ray correspondences (direct linear solve).
+
+    rays_a, rays_b (..., N, 3): leading axes stack hypotheses, each fit on
+    its own N >= 8 ray pairs; returns (..., 3, 3). Stacked linalg solves
+    each matrix as a one-matrix call does, so a stack's members are bit for
+    bit the E those calls give.
+    """
+    a = np.einsum("...ni,...nj->...nij", rays_b, rays_a).reshape(*rays_a.shape[:-1], 9)
     _, _, vt = np.linalg.svd(a)
-    e = vt[-1].reshape(3, 3)
+    e = vt[..., -1, :].reshape(*a.shape[:-2], 3, 3)
     # enforce the (s, s, 0) singular structure
     u, s, vt = np.linalg.svd(e)
-    if np.linalg.det(u) < 0:
-        u[:, -1] *= -1
-    if np.linalg.det(vt) < 0:
-        vt[-1, :] *= -1
-    sigma = 0.5 * (s[0] + s[1])
-    return u @ np.diag([sigma, sigma, 0.0]) @ vt
+    u[..., :, -1] *= np.where(np.linalg.det(u) < 0, -1.0, 1.0)[..., None]
+    vt[..., -1, :] *= np.where(np.linalg.det(vt) < 0, -1.0, 1.0)[..., None]
+    diag = np.zeros_like(e)
+    diag[..., 0, 0] = diag[..., 1, 1] = 0.5 * (s[..., 0] + s[..., 1])
+    return u @ diag @ vt
 
 
 def _epipolar_angles(e_mat, rays_a, rays_b):
-    """Angular distance of each ray pair from its epipolar plane (rad)."""
-    n = rays_a @ e_mat.T  # plane normals in frame b
-    norms = np.linalg.norm(n, axis=1)
+    """Angular distance of each ray pair from its epipolar plane (rad).
+
+    e_mat (..., 3, 3): leading axes stack hypotheses, each scored on the
+    same (N, 3) rays; returns (..., N).
+    """
+    n = rays_a @ np.swapaxes(e_mat, -1, -2)  # plane normals in frame b
+    norms = np.linalg.norm(n, axis=-1)
     norms = np.where(norms < 1e-15, 1.0, norms)
-    sines = np.abs(np.einsum("ni,ni->n", rays_b, n)) / norms
+    sines = np.abs(np.einsum("...ni,...ni->...n", rays_b, n)) / norms
     return np.arcsin(np.clip(sines, 0.0, 1.0))
 
 
@@ -150,17 +159,39 @@ def triangulate_pair(pose_a: Pose, pose_b: Pose, rays_a, rays_b, min_angle=LOW_P
     return points, depths[:, 0], depths[:, 1], ok
 
 
+def _ransac_inliers(rays_a, rays_b, inlier_threshold, rng):
+    """Inlier mask of the best of RANSAC_ITERS 8-point hypotheses.
+
+    Samples are drawn one rng.choice call per hypothesis, as a loop over
+    hypotheses draws them, then fit and scored as one stack. A sample with a
+    non-finite ray has no hypothesis. The best is the first of the largest
+    inlier counts. Raises SfmFailure when it has too few inliers.
+    """
+    idx = np.array([rng.choice(len(rays_a), size=MIN_EPIPOLAR_MATCHES, replace=False)
+                    for _ in range(RANSAC_ITERS)])
+    sample_a, sample_b = rays_a[idx], rays_b[idx]
+    finite = np.isfinite(sample_a).all(axis=(1, 2)) & np.isfinite(sample_b).all(axis=(1, 2))
+    e_mats = _eight_point(sample_a[finite], sample_b[finite])
+    masks = _epipolar_angles(e_mats, rays_a, rays_b) < inlier_threshold
+    counts = masks.sum(axis=1)
+    if counts.max(initial=0) < MIN_EPIPOLAR_MATCHES:
+        raise SfmFailure(f"only {counts.max(initial=0)} epipolar inliers")
+    return masks[np.argmax(counts)]
+
+
 def estimate_relative_pose(rays_a, rays_b, inlier_threshold=0.002, rng=None):
     """Relative pose of view b in view a's frame from matched unit rays.
 
     Random-sample 8-point fitting with angular epipolar residuals, followed
     by an all-inlier refit and cheirality disambiguation. The returned
     translation has unit norm. inlier_threshold is in radians (one pixel at
-    focal length f is roughly 1/f).
+    focal length f is roughly 1/f). The RANSAC_ITERS hypotheses are fit and
+    scored as one stack (_ransac_inliers); rng makes the same draws, in the
+    same order, as a loop fitting one hypothesis per draw.
 
     Returns (rotation, unit translation, inlier mask).
-    Raises SfmFailure for < 8 matches, too few inliers, degenerate
-    cheirality, or near-zero parallax (pure rotation).
+    Raises SfmFailure for < 8 matches, too few inliers, a failed refit,
+    degenerate cheirality, or near-zero parallax (pure rotation).
     """
     rays_a = np.asarray(rays_a, dtype=float)
     rays_b = np.asarray(rays_b, dtype=float)
@@ -168,29 +199,17 @@ def estimate_relative_pose(rays_a, rays_b, inlier_threshold=0.002, rng=None):
     if n < MIN_EPIPOLAR_MATCHES:
         raise SfmFailure(f"need at least {MIN_EPIPOLAR_MATCHES} matches, got {n}")
     rng = np.random.default_rng(0) if rng is None else rng
-
-    best_mask = None
-    best_count = -1
-    for _ in range(RANSAC_ITERS):
-        idx = rng.choice(n, size=MIN_EPIPOLAR_MATCHES, replace=False)
-        try:
-            e_mat = _eight_point(rays_a[idx], rays_b[idx])
-        except np.linalg.LinAlgError:
-            continue
-        mask = _epipolar_angles(e_mat, rays_a, rays_b) < inlier_threshold
-        count = int(mask.sum())
-        if count > best_count:
-            best_count = count
-            best_mask = mask
-    if best_mask is None or best_count < MIN_EPIPOLAR_MATCHES:
-        raise SfmFailure(f"only {max(best_count, 0)} epipolar inliers")
+    best_mask = _ransac_inliers(rays_a, rays_b, inlier_threshold, rng)
 
     # refit on all inliers, then recollect the support set
-    e_mat = _eight_point(rays_a[best_mask], rays_b[best_mask])
-    mask = _epipolar_angles(e_mat, rays_a, rays_b) < inlier_threshold
-    if int(mask.sum()) < MIN_EPIPOLAR_MATCHES:
-        mask = best_mask
-    e_mat = _eight_point(rays_a[mask], rays_b[mask])
+    try:
+        e_mat = _eight_point(rays_a[best_mask], rays_b[best_mask])
+        mask = _epipolar_angles(e_mat, rays_a, rays_b) < inlier_threshold
+        if int(mask.sum()) < MIN_EPIPOLAR_MATCHES:
+            mask = best_mask
+        e_mat = _eight_point(rays_a[mask], rays_b[mask])
+    except np.linalg.LinAlgError as exc:
+        raise SfmFailure(f"essential refit failed: {exc}") from exc
 
     # a single rotation explaining the rays means the baseline is
     # unobservable (pure rotation); the essential fit is meaningless there
@@ -251,13 +270,13 @@ def huber_weights(res, delta):
     return w, float(np.where(far, 2.0 * delta * e - delta**2, e**2).sum())
 
 
-def _unit_ray_residual_jacobian(rot, t, points, rays, ext=None):
-    """Residuals r = normalize(X_cam) - ray and Jacobians wrt (dp, dtheta).
+def _unit_ray_residuals(rot, t, points, rays, ext=None):
+    """Residuals r = normalize(X_cam) - ray, and the terms their Jacobian reuses.
 
     (rot, t) is world_T_cam, or world_T_body when ext (the camera's Pose
     in the body) is given; X_cam = R_c^T (X - t_c) with world_T_cam =
-    world_T_body * ext. The perturbation acts on (rot, t): t <- t + dp,
-    R <- R @ exp(dtheta^). Returns (residuals (N,3), jac (N,3,6)).
+    world_T_body * ext. Returns (residuals (N,3), terms for
+    _unit_ray_jacobian).
     """
     if ext is None:
         rot_wc, t_wc = rot, t
@@ -267,8 +286,15 @@ def _unit_ray_residual_jacobian(rot, t, points, rays, ext=None):
     x_cam = (points - t_wc) @ rot_wc
     norms = np.linalg.norm(x_cam, axis=1, keepdims=True)
     unit = x_cam / norms
-    res = unit - rays
+    return unit - rays, (rot, t, points, ext, rot_wc, x_cam, norms, unit)
 
+
+def _unit_ray_jacobian(terms):
+    """Jacobians (N,3,6) of _unit_ray_residuals wrt (dp, dtheta), from its terms.
+
+    The perturbation acts on (rot, t): t <- t + dp, R <- R @ exp(dtheta^).
+    """
+    rot, t, points, ext, rot_wc, x_cam, norms, unit = terms
     # d unit / d x_cam = (I - uu^T)/|x|
     proj = (np.eye(3) - unit[:, :, None] * unit[:, None, :]) / norms[:, :, None]
     # d x_cam/dp = -R_c^T; d x_cam/dtheta = [x_cam]^ for a camera pose and
@@ -278,8 +304,7 @@ def _unit_ray_residual_jacobian(rot, t, points, rays, ext=None):
         d_dth = skew(x_cam)
     else:
         d_dth = np.einsum("ab,nbc->nac", ext.rotation.T, skew((points - t) @ rot))
-    jac = np.concatenate([proj @ d_dp, proj @ d_dth], axis=2)
-    return res, jac
+    return np.concatenate([proj @ d_dp, proj @ d_dth], axis=2)
 
 
 def pnp_refine(points, rays, initial: Pose, max_iters=100, step_tol=1e-10, extrinsics=None,
@@ -291,7 +316,9 @@ def pnp_refine(points, rays, initial: Pose, max_iters=100, step_tol=1e-10, extri
     optimized pose is world_T_body and each ray is taken in its own camera;
     this covers multi-camera pose verification with one code path.
     huber_delta (residual-norm units, roughly radians) bounds the influence
-    of stray correspondences when set.
+    of stray correspondences when set. A trial step is judged, and its
+    Huber weights taken, from residuals alone; the Jacobian is built only
+    at the poses that start an iteration.
 
     Raises SfmFailure on fewer than 4 correspondences or divergence.
     """
@@ -304,34 +331,38 @@ def pnp_refine(points, rays, initial: Pose, max_iters=100, step_tol=1e-10, extri
     t = initial.t.copy()
     lam = 1e-6
 
+    # one kernel call per distinct extrinsic object, or one for all rows
     if extrinsics is None:
-        def eval_all(rot_wb, t_wb):
-            return _unit_ray_residual_jacobian(rot_wb, t_wb, points, rays)
+        groups = [(None, slice(None))]
     else:
-        # one kernel call per distinct extrinsic object
         groups = {}
         for i, ext in enumerate(extrinsics):
             groups.setdefault(id(ext), (ext, []))[1].append(i)
         groups = [(ext, np.array(idxs)) for ext, idxs in groups.values()]
+    groups = [(ext, idxs, points[idxs], rays[idxs]) for ext, idxs in groups]
 
-        def eval_all(rot_wb, t_wb):
-            res = np.zeros((len(points), 3))
-            jac = np.zeros((len(points), 3, 6))
-            for ext, idxs in groups:
-                res[idxs], jac[idxs] = _unit_ray_residual_jacobian(
-                    rot_wb, t_wb, points[idxs], rays[idxs], ext)
-            return res, jac
-
-    def robust(res, jac):
+    def evaluate(rot_wb, t_wb):
+        # robust-weighted residuals, their weights (None without Huber),
+        # the cost and the kernel terms of each group
+        res = np.zeros((len(points), 3))
+        terms = []
+        for ext, idxs, pts, obs in groups:
+            res[idxs], group_terms = _unit_ray_residuals(rot_wb, t_wb, pts, obs, ext)
+            terms.append(group_terms)
         if huber_delta is None:
-            return res, jac, float((res**2).sum())
+            return res, None, float((res**2).sum()), terms
         w, cost = huber_weights(res, huber_delta)
-        return res * w[:, None], jac * w[:, None, None], cost
+        return res * w[:, None], w, cost, terms
 
-    res, jac = eval_all(rot, t)
-    res, jac, cost = robust(res, jac)
+    def weighted_jacobian(w, terms):
+        jac = np.zeros((len(points), 3, 6))
+        for (_, idxs, _, _), group_terms in zip(groups, terms):
+            jac[idxs] = _unit_ray_jacobian(group_terms)
+        return jac if w is None else jac * w[:, None, None]
+
+    res, w, cost, terms = evaluate(rot, t)
     for _ in range(max_iters):
-        j_flat = jac.reshape(-1, 6)
+        j_flat = weighted_jacobian(w, terms).reshape(-1, 6)
         r_flat = res.reshape(-1)
         h = j_flat.T @ j_flat
         g = j_flat.T @ r_flat
@@ -344,15 +375,14 @@ def pnp_refine(points, rays, initial: Pose, max_iters=100, step_tol=1e-10, extri
                 continue
             new_t = t + step[:3]
             new_rot = rot @ so3_exp(step[3:])
-            new_res, new_jac = eval_all(new_rot, new_t)
-            new_res, new_jac, new_cost = robust(new_res, new_jac)
-            if new_cost <= cost:
+            trial = evaluate(new_rot, new_t)
+            if trial[2] <= cost:
                 break
             lam *= 10.0
         else:
             raise SfmFailure("pnp diverged")
         t, rot = new_t, new_rot
-        res, jac, cost = new_res, new_jac, new_cost
+        res, w, cost, terms = trial
         lam = max(lam * 0.3, 1e-12)
         if np.linalg.norm(step) < step_tol:
             break

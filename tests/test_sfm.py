@@ -3,13 +3,21 @@ import math
 import numpy as np
 import pytest
 
+import rigvo.sfm
 from rigvo.geometry import Pose, rotation_angle, so3_exp, unproject
 from rigvo.sfm import (
     LOW_PARALLAX_ANGLE,
+    MIN_EPIPOLAR_MATCHES,
+    RANSAC_ITERS,
     CameraSfmTrajectory,
     SfmFailure,
-    _unit_ray_residual_jacobian,
+    _unit_ray_jacobian,
+    _unit_ray_residuals,
+    _eight_point,
+    _epipolar_angles,
+    _ransac_inliers,
     estimate_relative_pose,
+    huber_weights,
     monocular_sfm_window,
     pnp_refine,
     triangulate_many,
@@ -31,6 +39,10 @@ from conftest import make_test_rig
 def unit(v):
     v = np.asarray(v, dtype=float)
     return v / np.linalg.norm(v)
+
+
+def unit_rows(v):
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
 def two_view_scene(n_points=100, seed=0, rot_vec=(0.05, 0.3, -0.1), baseline=(1.0, 0.2, 0.1)):
@@ -78,6 +90,126 @@ class TestRelativePose:
     def test_too_few_matches(self):
         rays = np.tile(unit([0, 0, 1.0]), (5, 1))
         with pytest.raises(SfmFailure):
+            estimate_relative_pose(rays, rays)
+
+
+def eight_point_reference(rays_a, rays_b):
+    """The one-hypothesis 8-point kernel that the stacked one replaced."""
+    a = np.einsum("ni,nj->nij", rays_b, rays_a).reshape(len(rays_a), 9)
+    _, _, vt = np.linalg.svd(a)
+    e = vt[-1].reshape(3, 3)
+    u, s, vt = np.linalg.svd(e)
+    if np.linalg.det(u) < 0:
+        u[:, -1] *= -1
+    if np.linalg.det(vt) < 0:
+        vt[-1, :] *= -1
+    sigma = 0.5 * (s[0] + s[1])
+    return u @ np.diag([sigma, sigma, 0.0]) @ vt
+
+
+def epipolar_angles_reference(e_mat, rays_a, rays_b):
+    """The one-hypothesis epipolar scoring that the stacked one replaced."""
+    n = rays_a @ e_mat.T
+    norms = np.linalg.norm(n, axis=1)
+    norms = np.where(norms < 1e-15, 1.0, norms)
+    sines = np.abs(np.einsum("ni,ni->n", rays_b, n)) / norms
+    return np.arcsin(np.clip(sines, 0.0, 1.0))
+
+
+def ransac_reference(rays_a, rays_b, inlier_threshold, rng):
+    """The one-hypothesis RANSAC loop: best mask and each fitted hypothesis
+    as (sample, E, mask); a sample whose fit raises is skipped."""
+    hypotheses = []
+    best_mask, best_count = None, -1
+    for _ in range(RANSAC_ITERS):
+        idx = rng.choice(len(rays_a), size=MIN_EPIPOLAR_MATCHES, replace=False)
+        try:
+            e_mat = eight_point_reference(rays_a[idx], rays_b[idx])
+        except np.linalg.LinAlgError:
+            continue
+        mask = epipolar_angles_reference(e_mat, rays_a, rays_b) < inlier_threshold
+        hypotheses.append((idx, e_mat, mask))
+        if int(mask.sum()) > best_count:
+            best_mask, best_count = mask, int(mask.sum())
+    if best_mask is None or best_count < MIN_EPIPOLAR_MATCHES:
+        raise SfmFailure(f"only {max(best_count, 0)} epipolar inliers")
+    return best_mask, hypotheses
+
+
+def noisy_ray_pair(rig, cam):
+    """Matched rays of frames 0 and 5 of one camera in a 0.5 px render."""
+    traj = generate_trajectory(TrajectorySpec("circle", 60, speed=3.0, seed=11))
+    cloud = sample_landmarks(500, traj, (3.0, 25.0), seed=11)
+    sim = render_observations(rig, traj, cloud, NoiseSpec(pixel_sigma=0.5, seed=12))
+    obs_a, obs_b = ray_observations(sim, rig, cam, [0, 5])
+    shared = sorted(set(obs_a) & set(obs_b))
+    return np.array([obs_a[k] for k in shared]), np.array([obs_b[k] for k in shared])
+
+
+class TestStackedRansac:
+    """The stacked hypotheses against the one-hypothesis loop, bit for bit."""
+
+    @pytest.mark.parametrize("cam", [0, 2], ids=["pinhole", "fisheye"])
+    def test_matches_one_hypothesis_loop(self, rig4, cam, monkeypatch):
+        rays_a, rays_b = noisy_ray_pair(rig4, cam)
+        threshold = 1.0 / 320.0
+        best_ref, hyps = ransac_reference(rays_a, rays_b, threshold, np.random.default_rng(5))
+        assert len(hyps) == RANSAC_ITERS
+
+        idx = np.array([h[0] for h in hyps])
+        e_mats = _eight_point(rays_a[idx], rays_b[idx])
+        masks = _epipolar_angles(e_mats, rays_a, rays_b) < threshold
+        assert np.array_equal(e_mats, np.array([h[1] for h in hyps]))
+        assert np.array_equal(masks, np.array([h[2] for h in hyps]))
+        counts = masks.sum(axis=1)
+        assert np.array_equal(counts, [h[2].sum() for h in hyps])
+        assert len(np.unique(counts)) > 10  # the hypotheses really differ
+        best = _ransac_inliers(rays_a, rays_b, threshold, np.random.default_rng(5))
+        assert np.array_equal(best, best_ref)
+
+        out = estimate_relative_pose(rays_a, rays_b, threshold, np.random.default_rng(5))
+        monkeypatch.setattr(rigvo.sfm, "_ransac_inliers",
+                            lambda *args: ransac_reference(*args)[0])
+        ref = estimate_relative_pose(rays_a, rays_b, threshold, np.random.default_rng(5))
+        for got, want in zip(out, ref):
+            assert np.array_equal(got, want)
+
+    def test_ties_keep_the_first_best(self):
+        # unrelated random rays: hypotheses fit noise, and two of them tie
+        # for the most inliers with different masks; the loop kept the first
+        rng = np.random.default_rng(0)
+        rays_a, rays_b = (unit_rows(rng.normal(size=(100, 3))) for _ in range(2))
+        best_ref, hyps = ransac_reference(rays_a, rays_b, 0.15, np.random.default_rng(5))
+        counts = np.array([h[2].sum() for h in hyps])
+        tied = {hyps[i][2].tobytes() for i in np.flatnonzero(counts == counts.max())}
+        assert len(tied) >= 2
+        best = _ransac_inliers(rays_a, rays_b, 0.15, np.random.default_rng(5))
+        assert np.array_equal(best, best_ref)
+
+    def test_draws_as_many_samples_as_the_loop(self, rig4):
+        rays_a, rays_b = noisy_ray_pair(rig4, 0)
+        rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+        estimate_relative_pose(rays_a, rays_b, rng=rng)
+        for _ in range(RANSAC_ITERS):
+            ref_rng.choice(len(rays_a), size=MIN_EPIPOLAR_MATCHES, replace=False)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_nan_ray_skips_its_samples_like_the_loop(self, monkeypatch):
+        rays_a, rays_b, _, _ = two_view_scene(n_points=60, seed=13)
+        rays_b[17] = np.nan
+        out = estimate_relative_pose(rays_a, rays_b, rng=np.random.default_rng(14))
+        _, hyps = ransac_reference(rays_a, rays_b, 0.002, np.random.default_rng(14))
+        assert len(hyps) < RANSAC_ITERS  # some samples held the NaN ray
+        monkeypatch.setattr(rigvo.sfm, "_ransac_inliers",
+                            lambda *args: ransac_reference(*args)[0])
+        ref = estimate_relative_pose(rays_a, rays_b, rng=np.random.default_rng(14))
+        for got, want in zip(out, ref):
+            assert np.array_equal(got, want)
+        assert not out[2][17]
+
+    def test_all_nan_rays_raise_sfm_failure(self):
+        rays = np.full((20, 3), np.nan)
+        with pytest.raises(SfmFailure, match="epipolar inliers"):
             estimate_relative_pose(rays, rays)
 
 
@@ -283,6 +415,97 @@ class TestPnp:
         assert rotation_angle(out.rotation.T @ body.rotation) < 1e-8
 
 
+def pnp_reference(points, rays, initial, extrinsics=None, huber_delta=None):
+    """pnp_refine's loop building the Jacobian at every evaluation, trial
+    steps included. Returns (pose, accepted steps, rejected trials)."""
+    groups = {}
+    for i, ext in enumerate([None] * len(points) if extrinsics is None else extrinsics):
+        groups.setdefault(id(ext), (ext, []))[1].append(i)
+
+    def evaluate(rot, t):
+        res, jac = np.zeros((len(points), 3)), np.zeros((len(points), 3, 6))
+        for ext, idxs in groups.values():
+            res[idxs], terms = _unit_ray_residuals(rot, t, points[idxs], rays[idxs], ext)
+            jac[idxs] = _unit_ray_jacobian(terms)
+        if huber_delta is None:
+            return res, jac, float((res**2).sum())
+        w, cost = huber_weights(res, huber_delta)
+        return res * w[:, None], jac * w[:, None, None], cost
+
+    rot, t, lam = initial.rotation, initial.t.copy(), 1e-6
+    res, jac, cost = evaluate(rot, t)
+    accepted = rejected = 0
+    for _ in range(100):
+        j_flat = jac.reshape(-1, 6)
+        h, g = j_flat.T @ j_flat, j_flat.T @ res.reshape(-1)
+        while True:
+            step = np.linalg.solve(h + lam * np.eye(6), -g)
+            new_rot, new_t = rot @ so3_exp(step[3:]), t + step[:3]
+            trial = evaluate(new_rot, new_t)
+            if trial[2] <= cost:
+                break
+            rejected += 1
+            lam *= 10.0
+        rot, t = new_rot, new_t
+        res, jac, cost = trial
+        accepted += 1
+        lam = max(lam * 0.3, 1e-12)
+        if np.linalg.norm(step) < 1e-10:
+            return Pose.from_rt(rot, t), accepted, rejected
+    raise AssertionError("reference did not converge")
+
+
+class TestPnpTrialSteps:
+    """Residual-only trial steps: same pose as the reference, bit for bit,
+    with one Jacobian per iteration that is started."""
+
+    def scene(self, rig4, multi):
+        # 15 points per camera (camera 0 alone without extrinsics), 3 of
+        # them stray, and an initial pose far enough off that LM rejects
+        rng = np.random.default_rng(21)
+        body = Pose.from_rt(so3_exp([0.2, -0.1, 0.4]), [1.0, -0.5, 0.3])
+        points, rays, exts = [], [], []
+        for c in range(4 if multi else 1):
+            ext = rig4.extrinsic(c).cam_in_body if multi else Pose.identity()
+            cam = body.compose(ext)
+            for _ in range(15):
+                ray = unit(rng.normal(size=3) * [0.5, 0.5, 0.1] + [0.0, 0.0, 1.0])
+                points.append(cam.apply(ray * rng.uniform(3.0, 15.0)))
+                rays.append(ray)
+                exts.append(ext)
+        rays = np.array(rays)
+        rays[[3, 20, 41] if multi else [3, 7, 11]] = [unit(rng.normal(size=3)) for _ in range(3)]
+        init = Pose.from_rt(body.rotation @ so3_exp([1.0, -1.2, 0.8]), body.t + [4.0, -3.0, 2.0])
+        return np.array(points), rays, init, (exts if multi else None)
+
+    @pytest.mark.parametrize("huber_delta", [None, 0.01])
+    @pytest.mark.parametrize("multi", [False, True], ids=["camera", "extrinsics"])
+    def test_same_pose_and_one_jacobian_per_iteration(self, rig4, multi, huber_delta,
+                                                      monkeypatch):
+        points, rays, init, exts = self.scene(rig4, multi)
+        want, accepted, rejected = pnp_reference(points, rays, init, exts, huber_delta)
+        assert rejected > 0
+
+        calls = {"res": 0, "jac": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(rigvo.sfm, "_unit_ray_residuals",
+                            counted("res", _unit_ray_residuals))
+        monkeypatch.setattr(rigvo.sfm, "_unit_ray_jacobian", counted("jac", _unit_ray_jacobian))
+        got = pnp_refine(points, rays, init, extrinsics=exts, huber_delta=huber_delta)
+        assert np.array_equal(got.rotation, want.rotation)
+        assert np.array_equal(got.t, want.t)
+        groups = 4 if multi else 1
+        # the initial pose and each accepted step but the converged last one
+        assert calls["jac"] == groups * accepted
+        assert calls["res"] == groups * (1 + accepted + rejected)
+
+
 class TestRayJacobian:
     @pytest.mark.parametrize("camera", [None, 0, 2])
     def test_matches_central_differences(self, rig4, camera):
@@ -300,15 +523,13 @@ class TestRayJacobian:
         points = cam.apply(dirs * rng.uniform(2.0, 10.0, size=(30, 1)))
         rays = np.array([unit(d + rng.normal(scale=0.01, size=3)) for d in dirs])
 
-        _, jac = _unit_ray_residual_jacobian(rot, t, points, rays, ext)
+        jac = _unit_ray_jacobian(_unit_ray_residuals(rot, t, points, rays, ext)[1])
         step = 1e-6
         for k in range(6):
             d = np.zeros(6)
             d[k] = step
-            res_plus, _ = _unit_ray_residual_jacobian(
-                rot @ so3_exp(d[3:]), t + d[:3], points, rays, ext)
-            res_minus, _ = _unit_ray_residual_jacobian(
-                rot @ so3_exp(-d[3:]), t - d[:3], points, rays, ext)
+            res_plus, _ = _unit_ray_residuals(rot @ so3_exp(d[3:]), t + d[:3], points, rays, ext)
+            res_minus, _ = _unit_ray_residuals(rot @ so3_exp(-d[3:]), t - d[:3], points, rays, ext)
             numeric = (res_plus - res_minus) / (2 * step)
             np.testing.assert_allclose(jac[:, :, k], numeric, atol=1e-8)
 
