@@ -7,6 +7,11 @@ as an inverse range along a unit anchor ray in their first observing
 camera. The oldest pose is held fixed as the gauge. Residuals are
 normalized-plane reprojection errors whitened by an isotropic observation
 covariance; points that land behind a camera are gated out per iteration.
+
+Online scale correction reuses the same cost: with the body poses fixed,
+each camera's inverse depths are rescaled by a Gauss-Newton step in its
+log scale, taken only when a landmark-clustered evidence gate says the
+window's residuals call for it.
 """
 
 from __future__ import annotations
@@ -16,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Pose, skew, so3_exp, so3_log
-from .scale import solve_single_scale
-from .sfm import SfmFailure, huber_weights, pnp_refine
+from .sfm import huber_weights
 
 WINDOW_CAPACITY = 11
 HUBER_DELTA = 1.0  # in observation standard deviations
@@ -27,11 +31,10 @@ EIG_FLOOR = 1e-10
 KEYFRAME_PARALLAX_PX = 10.0
 KEYFRAME_TRACKED_RATIO = 0.5
 SCALE_FIXED_POINT_TOL = 1e-4
-SCALE_EVIDENCE_K = 3.0  # correct only when |s_hat - 1| > k standard errors
+SCALE_EVIDENCE_K = 3.0  # correct a camera only when its log-scale gradient > k spreads
 SCALE_MAX_PASSES = 10
 BA_STEP_TOL = 1e-8  # optimize_window converges below this accepted step norm
 MIN_LANDMARK_OBS = 2  # prune_landmarks drops landmarks with fewer in-window observations
-MIN_SCALE_FRAME_OBS = 4  # landmarks a camera needs in a frame for its scale PnP
 
 
 @dataclass
@@ -164,38 +167,32 @@ class _Problem:
         self.free_slots = [i for i in range(len(frames)) if i not in self.fixed_slots]
         self.slot_col = {s: i for i, s in enumerate(self.free_slots)}
 
-        usable = []
-        lm_keys = []
-        for o in observations:
-            key = (o.camera, o.track_id)
-            lm = state.landmarks.get(key)
-            if lm is None or o.frame not in self.frame_slot:
-                continue
-            if lm.anchor_frame not in self.frame_slot:
-                continue
-            if o.frame == lm.anchor_frame:
-                continue  # anchor self-observation: residual identically zero
-            usable.append(o)
-            lm_keys.append(key)
-        self.observations = usable
-        self.lm_order = sorted(set(lm_keys))
-        lm_col = {k: i for i, k in enumerate(self.lm_order)}
+        # an observation is usable when its landmark exists and both its own
+        # and its anchor frame are in the window; an anchor self-observation
+        # (same slot) has a residual identically zero and is left out
+        ids = np.array([(o.camera, o.track_id, o.frame) for o in observations],
+                       dtype=int).reshape(-1, 3)
+        # (camera, track_id) as one integer that sorts the same way
+        lo = ids[:, 1].min(initial=0)
+        span = ids[:, 1].max(initial=0) - lo + 1
+        flat, lm_of = np.unique(ids[:, 0] * span + ids[:, 1] - lo, return_inverse=True)
+        keys = np.stack([flat // span, flat % span + lo], axis=1)
+        landmarks = [state.landmarks.get(key) for key in map(tuple, keys.tolist())]
+        anchor_slot = np.array(
+            [-1 if lm is None else self.frame_slot.get(lm.anchor_frame, -1) for lm in landmarks],
+            dtype=int)
+        window = np.array(frames, dtype=int)  # ascending
+        b_slot = np.searchsorted(window, ids[:, 2])
+        a_slot = anchor_slot[lm_of]
+        usable = np.isin(ids[:, 2], window) & (a_slot >= 0) & (a_slot != b_slot)
 
-        k = len(usable)
-        self.a_slot = np.zeros(k, dtype=int)
-        self.b_slot = np.zeros(k, dtype=int)
-        self.cam = np.zeros(k, dtype=int)
-        self.lm_idx = np.zeros(k, dtype=int)
-        self.coords = np.zeros((k, 2))
-        self.weight = np.zeros(k)
-        for i, o in enumerate(usable):
-            lm = state.landmarks[(o.camera, o.track_id)]
-            self.a_slot[i] = self.frame_slot[lm.anchor_frame]
-            self.b_slot[i] = self.frame_slot[o.frame]
-            self.cam[i] = o.camera
-            self.lm_idx[i] = lm_col[(o.camera, o.track_id)]
-            self.coords[i] = o.coords
-            self.weight[i] = 1.0 / o.sigma
+        used = np.unique(lm_of[usable])  # sorted, as the keys are
+        self.lm_order = [tuple(key) for key in keys[used].tolist()]
+        self.a_slot, self.b_slot = a_slot[usable], b_slot[usable]
+        self.cam = ids[usable, 0]
+        self.lm_idx = np.searchsorted(used, lm_of[usable])
+        self.coords = np.array([o.coords for o in observations]).reshape(-1, 2)[usable]
+        self.weight = 1.0 / np.array([o.sigma for o in observations], dtype=float)[usable]
         # each observation's anchor and target pose column, -1 where fixed
         col_of_slot = np.array([self.slot_col.get(s, -1) for s in range(len(frames))], dtype=int)
         self.a_col, self.b_col = col_of_slot[self.a_slot], col_of_slot[self.b_slot]
@@ -224,11 +221,8 @@ class _Problem:
             [rig.extrinsic(c).cam_in_body.rotation for c in range(n_cams)]
         )
         self.ext_t = np.stack([rig.extrinsic(c).cam_in_body.t for c in range(n_cams)])
-        self.anchor_rays = (
-            np.stack([state.landmarks[key].anchor_ray for key in self.lm_order])
-            if self.lm_order
-            else np.zeros((0, 3))
-        )
+        self.anchor_rays = np.array(
+            [landmarks[i].anchor_ray for i in used.tolist()], dtype=float).reshape(-1, 3)
 
     @property
     def n_pose_params(self):
@@ -285,7 +279,7 @@ class _Problem:
         return res, valid, (rays, lam_k, r_e, r_a, r_b, p_ab, p_bb, p_c, z_safe)
 
     def _evaluate_core(self, rots, pos, lam):
-        k = len(self.observations)
+        k = len(self.cam)
         if k == 0:
             return np.zeros((0, 2)), np.zeros((0, 2, 13)), np.zeros(0, dtype=bool)
         res, valid, chain = self._project(rots, pos, lam)
@@ -485,7 +479,7 @@ def optimize_window(state: SlidingWindowState, observations, rig, max_iters=10, 
         state.poses[f] = Pose.from_rt(rots[slot], pos[slot])
     for key, col in zip(prob.lm_order, range(prob.n_landmarks)):
         state.landmarks[key].inv_depth = float(lam[col])
-    return {"cost_trace": trace, "status": status, "n_obs": len(prob.observations)}
+    return {"cost_trace": trace, "status": status, "n_obs": len(prob.cam)}
 
 
 def marginalize_oldest(state: SlidingWindowState, observations, rig):
@@ -634,110 +628,63 @@ def prune_landmarks(state: SlidingWindowState, observations):
 
 
 def correct_scale(state: SlidingWindowState, observations, rig):
-    """Per-camera residual scale estimation and inverse-depth correction.
+    """Per-camera online scale correction: Gauss-Newton steps in log scale
+    on the window's own robust BA cost.
 
-    For each camera, a camera-only trajectory is re-estimated over the
-    window by pose-only refinement against that camera's landmarks with
-    depths held fixed. Comparing it (through the extrinsic, re-anchored)
-    with the fused body trajectory gives a single residual scale s_hat per
-    camera, with standard error sigma. Body poses are untouched:
-    rectification propagates through later optimization.
+    Body poses are held fixed. Camera c gets one scalar phi_c = log s_c, and
+    the inverse depths of its landmarks with a usable observation become
+    lambda * exp(-phi_c), a move that stays inside BA's own parameters.
+    Each pass evaluates the window once and takes the Huber weights hw
+    exactly as optimize_window does. With j = -lambda * hw * dr/dlambda per
+    residual row, camera c's information is sum |j|^2, its gradient
+    sum j^T (hw r), and its step phi_c -= gradient / information.
 
-    If the first pass gives |s_hat - 1| <= SCALE_EVIDENCE_K * sigma, the
-    deviation is within the estimate's noise and the camera's inverse
-    depths stay exactly as they are. Otherwise they are divided by s_hat,
-    iterated to a fixed point because landmarks anchored at different
-    frames do not rescale the scene as one similarity transform: passes
-    repeat until |s_hat - 1| < SCALE_FIXED_POINT_TOL or SCALE_MAX_PASSES
-    is reached.
+    On the first pass a camera is corrected only if |gradient| exceeds
+    SCALE_EVIDENCE_K times a landmark-clustered spread: the root of the sum,
+    over the camera's landmarks, of each landmark's squared gradient sum.
+    A landmark's residuals share its noisy anchor ray, so 1/sqrt(information)
+    would be over-confident; and since |sum of n terms| <= sqrt(n) times the
+    root of their squares, a camera needs more than SCALE_EVIDENCE_K^2
+    landmarks to be corrected at all. Where the gate holds the camera's
+    inverse depths stay exactly as they are. A corrected camera repeats its
+    step until it falls below SCALE_FIXED_POINT_TOL or SCALE_MAX_PASSES is
+    reached.
 
-    Returns {camera: product of the passes' s_hat}, 1.0 where the gate
-    held; a camera whose scale is unobservable is absent.
+    Returns {camera: s_c = exp(phi_c)}, 1.0 where the gate held; a camera
+    without a valid residual in the window is absent, and a window of fewer
+    than three frames gives {}.
     """
     if len(state.frames) < 3:
         return {}
+    prob = _Problem(state, observations, rig)
+    rots, pos, lam = prob.current_values()
+    cam_of_lm = np.array([c for c, _ in prob.lm_order], dtype=int)
+    n_cams = rig.n_cameras
+    log_s = np.zeros(n_cams)
+    for n_pass in range(SCALE_MAX_PASSES):
+        lam_s = lam * np.exp(-log_s[cam_of_lm])
+        res, jac, valid = prob.evaluate(rots, pos, lam_s)
+        hw, _ = huber_weights(res, HUBER_DELTA)
+        hw[~valid] = 0.0
+        j = -(lam_s[prob.lm_idx] * hw)[:, None] * jac[:, :, 12]
+        g_lm = np.bincount(prob.lm_idx, weights=np.vecdot(j, res * hw[:, None]),
+                           minlength=prob.n_landmarks)
+        grad = np.bincount(cam_of_lm, weights=g_lm, minlength=n_cams)
+        info = np.bincount(prob.cam, weights=np.vecdot(j, j), minlength=n_cams)
+        if n_pass == 0:
+            observed = info > 0
+            spread = np.sqrt(np.bincount(cam_of_lm, weights=g_lm**2, minlength=n_cams))
+            active = observed & (np.abs(grad) > SCALE_EVIDENCE_K * spread)
+        step = np.where(active, -grad / np.where(active, info, 1.0), 0.0)
+        log_s += step
+        active &= np.abs(step) >= SCALE_FIXED_POINT_TOL
+        if not active.any():
+            break
 
-    # (landmark key, ray) per (camera, frame), for every pass
-    used = [o for o in observations
-            if o.frame in state.poses and (o.camera, o.track_id) in state.landmarks]
-    rays = _coords_to_ray(np.array([o.coords for o in used]).reshape(-1, 2))
-    rays_by_cam_frame = {}
-    for o, ray in zip(used, rays):
-        rays_by_cam_frame.setdefault((o.camera, o.frame), []).append(
-            ((o.camera, o.track_id), ray))
-
-    applied = {}
-    for c in range(rig.n_cameras):
-        for n_pass in range(SCALE_MAX_PASSES):
-            estimate = _camera_scale(state, rays_by_cam_frame, rig, c, MIN_SCALE_FRAME_OBS)
-            if estimate is None:
-                break
-            s_hat, sigma = estimate
-            if n_pass == 0 and abs(s_hat - 1.0) <= SCALE_EVIDENCE_K * sigma:
-                applied[c] = 1.0
-                break
-            for lm in state.landmarks.values():
-                if lm.camera == c:
-                    lm.inv_depth /= s_hat
-            applied[c] = applied.get(c, 1.0) * s_hat
-            if abs(s_hat - 1.0) < SCALE_FIXED_POINT_TOL:
-                break
-    return applied
-
-
-def _camera_scale(state, rays_by_cam_frame, rig, c, min_frame_obs):
-    """One residual-scale estimate for camera c.
-
-    rays_by_cam_frame maps (camera, frame) to [(landmark key, unit ray)].
-    Returns (s_hat, sigma), sigma being the standard error of s_hat from
-    solve_single_scale, or None if the scale is unobservable: too few
-    landmarks or solved frames, no translation, or s_hat <= 0.
-    """
-    ext = rig.extrinsic(c).cam_in_body
-    r_ext = ext.rotation
-    t_ext = ext.t
-    cam_poses = {f: state.poses[f].compose(ext) for f in state.frames}
-
-    # landmark world points from the current state (depths fixed)
-    world_points = {}
-    for key, lm in state.landmarks.items():
-        if lm.camera != c or lm.anchor_frame not in cam_poses:
-            continue
-        world_points[key] = cam_poses[lm.anchor_frame].apply(lm.anchor_ray / lm.inv_depth)
-    if len(world_points) < min_frame_obs:
-        return None
-
-    solved_poses = {}
-    for f in state.frames:
-        obs_f = [(key, ray) for key, ray in rays_by_cam_frame.get((c, f), [])
-                 if key in world_points]
-        if len(obs_f) < min_frame_obs:
-            continue
-        pts = np.array([world_points[key] for key, _ in obs_f])
-        rays = np.array([ray for _, ray in obs_f])
-        try:
-            solved_poses[f] = pnp_refine(pts, rays, cam_poses[f], max_iters=30)
-        except SfmFailure:
-            continue
-    solved = sorted(solved_poses)
-    if len(solved) < 3:
-        return None
-
-    t0 = solved[0]
-    cam_anchor_inv = solved_poses[t0].inverse()
-    body_anchor_inv = state.poses[t0].inverse()
-    coeffs, targets = [], []
-    for f in solved[1:]:
-        rel_cam = cam_anchor_inv.compose(solved_poses[f])
-        rel_body = body_anchor_inv.compose(state.poses[f])
-        rot_c = rel_cam.rotation
-        offset = t_ext - r_ext @ rot_c @ r_ext.T @ t_ext
-        coeffs.append(r_ext @ rel_cam.t)
-        targets.append(rel_body.t - offset)
-    s_hat, sigma, denom = solve_single_scale(coeffs, targets)
-    if denom < 1e-10 or s_hat <= 0:
-        return None
-    return s_hat, sigma
+    lam_s = lam * np.exp(-log_s[cam_of_lm])  # exactly lam where log_s is 0
+    for key, inv_depth in zip(prob.lm_order, lam_s.tolist()):
+        state.landmarks[key].inv_depth = inv_depth
+    return {int(c): float(np.exp(log_s[c])) for c in np.flatnonzero(observed)}
 
 
 def _coords_to_ray(coords):

@@ -14,7 +14,6 @@ block system F s + theta whose least-squares minimizer is the scale vector.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -197,22 +196,3 @@ def solve_scales(system: ScaleSystem) -> ScaleEstimate:
         reason=reason,
     )
 
-
-def solve_single_scale(coeffs, targets):
-    """Closed-form scalar s minimizing sum ||s*coeff_t - target_t||^2.
-
-    Returns (s, sigma, denom), with denom = sum ||coeff_t||^2 (near zero
-    means no translation signal) and sigma the standard error of s under
-    iid Gaussian noise on the target components: sigma = rms / sqrt(3 *
-    denom), rms being the root mean squared norm of the residual vectors.
-    Without signal, s is 1.0 and sigma infinite.
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    targets = np.asarray(targets, dtype=float)
-    denom = float(np.sum(coeffs * coeffs))
-    if denom < 1e-12:
-        return 1.0, math.inf, denom
-    s = float(np.sum(coeffs * targets) / denom)
-    res = s * coeffs - targets
-    rms = float(np.sqrt(np.mean(np.sum(res**2, axis=1))))
-    return s, rms / math.sqrt(3.0 * denom), denom

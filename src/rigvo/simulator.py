@@ -111,21 +111,21 @@ def generate_trajectory(spec: TrajectorySpec):
             pos = np.array([spec.speed * i * dt, 0.0, 0.0])
             poses.append(Pose(t=pos))
     else:  # smooth_random
+        # a smooth random heading walked at a constant horizontal step, so
+        # the turn between frames is at most sum(turn) * 2 pi / n
         rng = np.random.default_rng(spec.seed)
         n_harmonics = 4
-        amp = rng.uniform(0.05, 0.2, size=(n_harmonics, 3)) * path_len
-        amp[:, 2] *= 0.1  # keep height variation mild
-        phase = rng.uniform(0.0, 2.0 * math.pi, size=(n_harmonics, 3))
-        freq = np.arange(1, n_harmonics + 1)
-        for i in range(n):
-            a = 2.0 * math.pi * i / n
-            da = 2.0 * math.pi / n
-            pos = np.array([path_len * 0.3 * i / n, 0.0, 0.0])
-            vel = np.array([path_len * 0.3 / n, 0.0, 0.0])
-            for k in range(n_harmonics):
-                pos = pos + amp[k] * np.sin(freq[k] * a + phase[k]) / freq[k]
-                vel = vel + amp[k] * np.cos(freq[k] * a + phase[k]) * da
-            poses.append(_yaw_pose(pos, vel[:2]))
+        turn = rng.uniform(0.1, 0.5, size=n_harmonics)  # heading rate per harmonic
+        heave = rng.uniform(0.005, 0.02, size=n_harmonics) * path_len  # mild height
+        phase = rng.uniform(0.0, 2.0 * math.pi, size=(2, n_harmonics, 1))
+        freq = np.arange(1, n_harmonics + 1)[:, None]
+        a = 2.0 * math.pi * np.arange(n) / n
+        heading = rng.uniform(-math.pi, math.pi) + turn @ (np.sin(freq * a + phase[0]) / freq)
+        height = heave @ (np.sin(freq * a + phase[1]) / freq)
+        steps = spec.speed * dt * np.stack([np.cos(heading), np.sin(heading)], axis=1)
+        planar = np.concatenate([np.zeros((1, 2)), np.cumsum(steps[:-1], axis=0)])
+        for xy, z, h in zip(planar, height, heading):
+            poses.append(_yaw_pose(np.array([xy[0], xy[1], z]), (math.cos(h), math.sin(h))))
     return poses
 
 

@@ -218,6 +218,67 @@ def gated_window_problem():
     return prob, prob.current_values()
 
 
+def problem_index_reference(state, observations):
+    """_Problem's per-observation arrays, filled one observation at a time."""
+    frame_slot = {f: i for i, f in enumerate(state.frames)}
+    usable, lm_keys = [], []
+    for o in observations:
+        key = (o.camera, o.track_id)
+        lm = state.landmarks.get(key)
+        if lm is None or o.frame not in frame_slot:
+            continue
+        if lm.anchor_frame not in frame_slot:
+            continue
+        if o.frame == lm.anchor_frame:
+            continue
+        usable.append(o)
+        lm_keys.append(key)
+    lm_order = sorted(set(lm_keys))
+    lm_col = {k: i for i, k in enumerate(lm_order)}
+    k = len(usable)
+    out = {name: np.zeros(k, dtype=int) for name in ("a_slot", "b_slot", "cam", "lm_idx")}
+    out["coords"], out["weight"] = np.zeros((k, 2)), np.zeros(k)
+    for i, o in enumerate(usable):
+        lm = state.landmarks[(o.camera, o.track_id)]
+        out["a_slot"][i] = frame_slot[lm.anchor_frame]
+        out["b_slot"][i] = frame_slot[o.frame]
+        out["cam"][i] = o.camera
+        out["lm_idx"][i] = lm_col[(o.camera, o.track_id)]
+        out["coords"][i] = o.coords
+        out["weight"][i] = 1.0 / o.sigma
+    out["anchor_rays"] = (
+        np.stack([state.landmarks[key].anchor_ray for key in lm_order])
+        if lm_order else np.zeros((0, 3))
+    )
+    return lm_order, out
+
+
+def test_problem_index_matches_per_observation_loop():
+    # every skip rule of the index: unknown landmarks, frames and anchors
+    # outside the window, anchor self-observations; shuffled input order
+    rng = np.random.default_rng(74)
+    rig, traj, cloud, sim = make_sim(NoiseSpec(pixel_sigma=0.5, seed=74))
+    state, observations = build_gt_window(rig, traj, sim, range(5, 16))
+    _, outside = build_gt_window(rig, traj, sim, range(20, 31))
+    observations = observations + outside[::5]
+    keys = list(state.landmarks)
+    for key in keys[::11]:
+        del state.landmarks[key]
+    for key in keys[3::13]:
+        if key in state.landmarks:
+            state.landmarks[key].anchor_frame = 40
+    observations = [observations[i] for i in rng.permutation(len(observations))]
+    for obs in (observations, observations[:1], []):
+        prob = backend._Problem(state, obs, rig)
+        lm_order, ref = problem_index_reference(state, obs)
+        assert prob.lm_order == lm_order
+        for name, expected in ref.items():
+            got = getattr(prob, name)
+            assert (got.dtype, got.shape) == (expected.dtype, expected.shape), name
+            assert got.tobytes() == expected.tobytes(), name
+    assert 0 < len(backend._Problem(state, observations, rig).cam) < len(observations)
+
+
 class TestSplitKernel:
     def test_residuals_match_evaluate_bitwise(self):
         prob, (rots, pos, lam) = gated_window_problem()
@@ -542,23 +603,51 @@ class TestCorrectScale:
         assert abs(scale_error(corrected) - scale_error(biased)) < 1e-5
 
     def test_unbiased_noisy_window_left_alone(self, monkeypatch):
-        # at 0.5 px every camera's s_hat is within its own noise of 1, so the
-        # evidence gate stops after one estimate and touches no depth
-        rig, traj, cloud, sim = make_sim(NoiseSpec(pixel_sigma=0.5, seed=0))
+        # at 0.5 px no camera's log-scale gradient stands out of its
+        # landmark-clustered spread, so the gate stops after one evaluation
+        # and touches no depth
+        calls = []
+        evaluate = backend._Problem.evaluate
+
+        def counted(self, *args):
+            calls.append(1)
+            return evaluate(self, *args)
+
+        monkeypatch.setattr(backend._Problem, "evaluate", counted)
+        for seed in range(4):
+            rig, traj, cloud, sim = make_sim(NoiseSpec(pixel_sigma=0.5, seed=seed))
+            state, observations = build_gt_window(rig, traj, sim, range(11))
+            before = {k: lm.inv_depth for k, lm in state.landmarks.items()}
+            calls.clear()
+            applied = correct_scale(state, observations, rig)
+            assert len(calls) == 1, seed
+            assert applied == {c: 1.0 for c in range(rig.n_cameras)}, seed
+            assert {k: lm.inv_depth for k, lm in state.landmarks.items()} == before, seed
+
+    def test_never_raises_huber_cost(self):
+        rig, traj, cloud, sim = make_sim(NoiseSpec(pixel_sigma=0.3, seed=72))
         state, observations = build_gt_window(rig, traj, sim, range(11))
-        before = {k: lm.inv_depth for k, lm in state.landmarks.items()}
-        passes = {}
-        camera_scale = backend._camera_scale
+        for lm in state.landmarks.values():
+            if lm.camera == 1:
+                lm.inv_depth *= 1.1
 
-        def counted(state, obs_by_cam_frame, rig, c, min_frame_obs):
-            passes[c] = passes.get(c, 0) + 1
-            return camera_scale(state, obs_by_cam_frame, rig, c, min_frame_obs)
+        def huber_cost(st):
+            prob = backend._Problem(st, observations, rig)
+            res, valid = prob.residuals(*prob.current_values())
+            return backend.huber_weights(res[valid], backend.HUBER_DELTA)[1]
 
-        monkeypatch.setattr(backend, "_camera_scale", counted)
+        cost_before = huber_cost(state)
         applied = correct_scale(state, observations, rig)
-        assert passes == {c: 1 for c in range(rig.n_cameras)}
-        assert applied == {c: 1.0 for c in range(rig.n_cameras)}
-        assert {k: lm.inv_depth for k, lm in state.landmarks.items()} == before
+        assert applied[1] != 1.0
+        assert huber_cost(state) <= cost_before
+
+    def test_camera_without_landmarks_absent(self):
+        rig, traj, cloud, sim = make_sim()
+        state, observations = build_gt_window(rig, traj, sim, range(11))
+        for key in [k for k in state.landmarks if k[0] == 3]:
+            del state.landmarks[key]
+        applied = correct_scale(state, observations, rig)
+        assert sorted(applied) == [0, 1, 2]
 
 
 def test_coords_to_ray_batched_matches_per_row():

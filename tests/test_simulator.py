@@ -49,6 +49,20 @@ class TestTrajectory:
             ]
             assert max(angles) > 1e-4, kind
 
+    def test_smooth_random_turns_smoothly(self):
+        # the heading is walked at a constant horizontal step, so no seed
+        # turns sharply between two frames or stalls in place
+        for seed in range(31):
+            spec = TrajectorySpec("smooth_random", 120, speed=3.0, seed=seed)
+            poses = generate_trajectory(spec)
+            turns = [
+                rotation_angle(poses[i].rotation.T @ poses[i + 1].rotation)
+                for i in range(len(poses) - 1)
+            ]
+            steps = np.linalg.norm(np.diff([p.t[:2] for p in poses], axis=0), axis=1)
+            assert max(turns) < math.radians(10.0), seed
+            np.testing.assert_allclose(steps, 0.3, rtol=1e-12)
+
     def test_determinism(self):
         spec = TrajectorySpec("smooth_random", 40, speed=1.5, seed=123)
         a = generate_trajectory(spec)
