@@ -17,6 +17,7 @@ window's residuals call for it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -85,12 +86,13 @@ class MarginalizationPrior:
         return 6 * len(self.frames)
 
     def delta(self, poses):
-        """Stacked [dp, dtheta] of current poses w.r.t. the lin points."""
+        """Stacked [dp, dtheta] w.r.t. the lin points of poses, which maps
+        each covered frame to a (rotation matrix, position) pair."""
         parts = []
         for f in self.frames:
-            pose = poses[f]
-            parts.append(pose.t - self.lin_pos[f])
-            parts.append(so3_log(self.lin_rot[f].T @ pose.rotation))
+            rot, pos = poses[f]
+            parts.append(pos - self.lin_pos[f])
+            parts.append(so3_log(self.lin_rot[f].T @ rot))
         return np.concatenate(parts)
 
     def cost(self, poses):
@@ -196,25 +198,6 @@ class _Problem:
         # each observation's anchor and target pose column, -1 where fixed
         col_of_slot = np.array([self.slot_col.get(s, -1) for s in range(len(frames))], dtype=int)
         self.a_col, self.b_col = col_of_slot[self.a_slot], col_of_slot[self.b_slot]
-        # _assemble's bincount targets, fixed with the columns: for each
-        # block it scatters, the observations whose pose columns are free and
-        # the flat indices (rows * width + cols) their entries add to
-        n_p, n_lm = 6 * len(self.free_slots), len(self.lm_order)
-        free_a, free_b = self.a_col >= 0, self.b_col >= 0
-        free_ab = free_a & free_b
-        rows_a, rows_b = (6 * cols[:, None] + np.arange(6) for cols in (self.a_col, self.b_col))
-        ra, rb, ra_ab, rb_ab = rows_a[free_a], rows_b[free_b], rows_a[free_ab], rows_b[free_ab]
-
-        def pose_pose(rows_i, rows_j):
-            return (rows_i[:, :, None] * n_p + rows_j[:, None, :]).reshape(-1)
-
-        self.scatter = [
-            (free_a, pose_pose(ra, ra)), (free_ab, pose_pose(ra_ab, rb_ab)),
-            (free_ab, pose_pose(rb_ab, ra_ab)), (free_b, pose_pose(rb, rb)),
-            (free_a, (ra * n_lm + self.lm_idx[free_a, None]).reshape(-1)),
-            (free_b, (rb * n_lm + self.lm_idx[free_b, None]).reshape(-1)),
-            (free_a, ra.reshape(-1)), (free_b, rb.reshape(-1)),
-        ]
 
         n_cams = rig.n_cameras
         self.ext_rot = np.stack(
@@ -223,6 +206,28 @@ class _Problem:
         self.ext_t = np.stack([rig.extrinsic(c).cam_in_body.t for c in range(n_cams)])
         self.anchor_rays = np.array(
             [landmarks[i].anchor_ray for i in used.tolist()], dtype=float).reshape(-1, 3)
+
+    @cached_property
+    def scatter(self):
+        """_assemble's bincount targets, built on its first call: for each
+        block it scatters, the observations whose pose columns are free and
+        the flat indices (rows * width + cols) their entries add to."""
+        n_p, n_lm = self.n_pose_params, self.n_landmarks
+        free_a, free_b = self.a_col >= 0, self.b_col >= 0
+        free_ab = free_a & free_b
+        rows_a, rows_b = (6 * cols[:, None] + np.arange(6) for cols in (self.a_col, self.b_col))
+        ra, rb, ra_ab, rb_ab = rows_a[free_a], rows_b[free_b], rows_a[free_ab], rows_b[free_ab]
+
+        def pose_pose(rows_i, rows_j):
+            return (rows_i[:, :, None] * n_p + rows_j[:, None, :]).reshape(-1)
+
+        return [
+            (free_a, pose_pose(ra, ra)), (free_ab, pose_pose(ra_ab, rb_ab)),
+            (free_ab, pose_pose(rb_ab, ra_ab)), (free_b, pose_pose(rb, rb)),
+            (free_a, (ra * n_lm + self.lm_idx[free_a, None]).reshape(-1)),
+            (free_b, (rb * n_lm + self.lm_idx[free_b, None]).reshape(-1)),
+            (free_a, ra.reshape(-1)), (free_b, rb.reshape(-1)),
+        ]
 
     @property
     def n_pose_params(self):
@@ -346,9 +351,10 @@ def _assemble(prob, res, jac, valid, hw):
 def _add_prior(prior, poses, block_of, h, g):
     """Add a prior's Hessian, and its gradient at poses, into h and g.
 
-    block_of maps a frame to its 6-parameter block in h and g; prior frames
-    it lacks are left out. Distinct frames have distinct blocks, so each
-    target entry receives one term.
+    poses is as for MarginalizationPrior.delta. block_of maps a frame to
+    its 6-parameter block in h and g; prior frames it lacks are left out.
+    Distinct frames have distinct blocks, so each target entry receives one
+    term.
     """
     grad = prior.h @ prior.delta(poses) + prior.b
     src = np.array([6 * i for i, f in enumerate(prior.frames) if f in block_of], dtype=int)
@@ -405,16 +411,14 @@ def optimize_window(state: SlidingWindowState, observations, rig, max_iters=10, 
     delta_huber = HUBER_DELTA if robust else np.inf
     prior_cols = {f: prob.slot_col[s] for f, s in prob.frame_slot.items() if s in prob.slot_col}
 
+    start_poses = dict(zip(state.frames, zip(rots, pos)))  # the prior's gradient point
+
     def total_cost(rots_c, pos_c, lam_c):
         res, valid = prob.residuals(rots_c, pos_c, lam_c)
         _, obs_cost = huber_weights(res[valid], delta_huber)
         prior_cost = 0.0
         if state.prior is not None:
-            poses = {
-                f: Pose.from_rt(rots_c[prob.frame_slot[f]], pos_c[prob.frame_slot[f]])
-                for f in state.frames
-            }
-            prior_cost = state.prior.cost(poses)
+            prior_cost = state.prior.cost(dict(zip(state.frames, zip(rots_c, pos_c))))
         return obs_cost + prior_cost
 
     cost = total_cost(rots, pos, lam)
@@ -429,7 +433,7 @@ def optimize_window(state: SlidingWindowState, observations, rig, max_iters=10, 
         hw[~valid] = 0.0
         h_pp, h_pl, h_ll, g_p, g_l = _assemble(prob, res, jac, valid, hw)
         if state.prior is not None:
-            _add_prior(state.prior, state.poses, prior_cols, h_pp, g_p)
+            _add_prior(state.prior, start_poses, prior_cols, h_pp, g_p)
 
         accepted = False
         for _ in range(8):
@@ -523,8 +527,7 @@ def marginalize_oldest(state: SlidingWindowState, observations, rig):
 
     # fold in the previous prior about the current estimates
     if state.prior is not None:
-        slots = {f: s for s, f in enumerate(state.frames)}
-        _add_prior(state.prior, state.poses, slots, h, b)
+        _add_prior(state.prior, dict(zip(state.frames, zip(rots, pos))), prob.frame_slot, h, b)
 
     removed = np.r_[0:6, 6 * n_poses : dim]
     h_new, b_new, n_dropped = _schur(h, b, removed)
@@ -532,7 +535,7 @@ def marginalize_oldest(state: SlidingWindowState, observations, rig):
     retained_frames = state.frames[1:]
     prior = MarginalizationPrior(
         frames=list(retained_frames),
-        lin_rot={f: state.poses[f].rotation for f in retained_frames},
+        lin_rot={f: state.poses[f].rotation.copy() for f in retained_frames},
         lin_pos={f: state.poses[f].t.copy() for f in retained_frames},
         h=h_new,
         b=b_new,

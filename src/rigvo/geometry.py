@@ -3,7 +3,8 @@
 Conventions used throughout the package:
   - A Pose (R, t) maps points from its local frame into the parent frame:
     p_parent = R @ p_local + t.
-  - Quaternions are stored [x, y, z, w] and kept unit-norm.
+  - A Pose stores its rotation as a 3x3 matrix; quaternions, laid out
+    [x, y, z, w], enter only through Pose(q, t) and leave through Pose.q.
   - Camera extrinsics are the camera pose expressed in the body frame, so
     world_T_cam = world_T_body * ext.
 """
@@ -26,20 +27,6 @@ def _quat_normalize(q):
     if n == 0.0:
         raise ValueError("zero-norm quaternion")
     return q / n
-
-
-def quat_multiply(qa, qb):
-    """Hamilton product, [x, y, z, w] layout."""
-    ax, ay, az, aw = qa
-    bx, by, bz, bw = qb
-    return np.array(
-        [
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-            aw * bw - ax * bx - ay * by - az * bz,
-        ]
-    )
 
 
 def quat_to_matrix(q):
@@ -86,15 +73,15 @@ def matrix_to_quat(rot):
 
 
 class Pose:
-    """Rigid transform: unit quaternion [x, y, z, w] plus translation (m)."""
+    """Rigid transform: 3x3 rotation matrix plus translation (m); the
+    quaternion q is derived on read."""
 
-    __slots__ = ("q", "t")
+    __slots__ = ("rotation", "t")
 
     def __init__(self, q=None, t=None):
-        self.q = _quat_normalize(np.asarray(q, dtype=float)) if q is not None else np.array(
-            [0.0, 0.0, 0.0, 1.0]
-        )
-        self.t = np.asarray(t, dtype=float).copy() if t is not None else np.zeros(3)
+        self.rotation = np.eye(3) if q is None else quat_to_matrix(
+            _quat_normalize(np.asarray(q, dtype=float)))
+        self.t = np.zeros(3) if t is None else np.array(t, dtype=float)
         if self.t.shape != (3,):
             raise ValueError("translation must be a 3-vector")
 
@@ -104,22 +91,26 @@ class Pose:
 
     @staticmethod
     def from_rt(rot, t):
-        return Pose(matrix_to_quat(rot), t)
+        """Pose of rotation matrix rot and translation t, both copied."""
+        pose = Pose.__new__(Pose)
+        pose.rotation = np.array(rot, dtype=float, order="C")
+        pose.t = np.array(t, dtype=float)
+        if pose.rotation.shape != (3, 3) or pose.t.shape != (3,):
+            raise ValueError("a pose needs a 3x3 rotation and a 3-vector translation")
+        return pose
 
     @property
-    def rotation(self):
-        return quat_to_matrix(self.q)
+    def q(self):
+        """Unit quaternion [x, y, z, w] of the rotation, w >= 0."""
+        return matrix_to_quat(self.rotation)
 
     def compose(self, other: "Pose") -> "Pose":
         """self then other applied in self's frame: T_ac = T_ab * T_bc."""
-        q = _quat_normalize(quat_multiply(self.q, other.q))
-        t = self.rotation @ other.t + self.t
-        return Pose(q, t)
+        return Pose.from_rt(self.rotation @ other.rotation, self.rotation @ other.t + self.t)
 
     def inverse(self) -> "Pose":
-        q_inv = np.array([-self.q[0], -self.q[1], -self.q[2], self.q[3]])
-        rot_inv = quat_to_matrix(q_inv)
-        return Pose(q_inv, -(rot_inv @ self.t))
+        rot_inv = self.rotation.T
+        return Pose.from_rt(rot_inv, -(rot_inv @ self.t))
 
     def apply(self, points):
         """Map local-frame point(s) into the parent frame."""
@@ -133,10 +124,10 @@ class Pose:
         return m
 
     def copy(self):
-        return Pose(self.q.copy(), self.t.copy())
+        return Pose.from_rt(self.rotation, self.t)
 
     def __repr__(self):
-        return f"Pose(q={self.q.tolist()}, t={self.t.tolist()})"
+        return f"Pose(rotation={self.rotation.tolist()}, t={self.t.tolist()})"
 
 
 def so3_exp(vec):
@@ -204,10 +195,11 @@ def skew(v):
 
 
 def rotation_angle(rot) -> float:
-    """Rotation angle in radians."""
+    """Rotation angle in radians: atan2(|vee(R - R^T)|, tr R - 1), which
+    keeps its relative precision near 0, where acos of the trace reads 0."""
     m = np.asarray(rot, dtype=float)
-    cos_angle = min(1.0, max(-1.0, 0.5 * (m[0, 0] + m[1, 1] + m[2, 2] - 1.0)))
-    return math.acos(cos_angle)
+    sin2 = math.hypot(m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1])
+    return math.atan2(sin2, m[0, 0] + m[1, 1] + m[2, 2] - 1.0)
 
 
 class CameraModel(Enum):
@@ -369,4 +361,4 @@ def body_pose_from_camera(cam_pose: Pose, ext: CameraExtrinsic, s: float) -> Pos
     rot_c = cam_pose.rotation
     rot_b = rot_c @ r_ext.T
     t_b = -rot_b @ t_ext + s * cam_pose.t
-    return Pose(matrix_to_quat(rot_b), t_b)
+    return Pose.from_rt(rot_b, t_b)

@@ -44,7 +44,7 @@ class BodyTrajectoryHypothesis:
         if self.poses:
             first = self.poses[0]
             if not (np.allclose(first.t, 0.0, atol=1e-9)
-                    and abs(abs(first.q[3]) - 1.0) < 1e-9):
+                    and np.allclose(first.rotation, np.eye(3), atol=1e-9)):
                 raise ValueError("hypothesis must start at identity")
 
 

@@ -44,7 +44,7 @@ def make_zero_baseline_rig():
     rig = make_test_rig(4)
     cams = []
     for intr, ext in rig.cameras:
-        cams.append((intr, CameraExtrinsic(Pose(ext.cam_in_body.q, np.zeros(3)))))
+        cams.append((intr, CameraExtrinsic(Pose.from_rt(ext.cam_in_body.rotation, np.zeros(3)))))
     return RigConfig(cams)
 
 

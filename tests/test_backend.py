@@ -366,9 +366,9 @@ class TestOptimizeWindow:
         rng = np.random.default_rng(65)
         perturb_state(state, rng)
         f0 = state.frames[0]
-        q0, t0 = state.poses[f0].q.copy(), state.poses[f0].t.copy()
+        rot0, t0 = state.poses[f0].rotation.copy(), state.poses[f0].t.copy()
         optimize_window(state, observations, rig, max_iters=10)
-        np.testing.assert_array_equal(state.poses[f0].q, q0)
+        np.testing.assert_array_equal(state.poses[f0].rotation, rot0)
         np.testing.assert_array_equal(state.poses[f0].t, t0)
 
     def test_huber_contains_outliers(self):

@@ -79,12 +79,55 @@ class TestCompose:
         rhs = b.inverse().compose(a.inverse())
         np.testing.assert_allclose(lhs.matrix(), rhs.matrix(), atol=1e-12)
 
-    def test_quaternion_stays_unit(self):
+    def test_rotation_stays_orthonormal(self):
+        # nothing re-orthonormalizes a stored rotation, so round-off from a
+        # long chain of products must stay small
         rng = np.random.default_rng(4)
         p = random_pose(rng)
         for _ in range(500):
             p = p.compose(random_pose(rng))
-            assert abs(np.linalg.norm(p.q) - 1.0) < 1e-9
+        assert np.abs(p.rotation.T @ p.rotation - np.eye(3)).max() < 1e-12
+
+
+class TestPoseStorage:
+    """A Pose holds a rotation matrix: its operations are the 4x4
+    homogeneous products, and it owns its arrays."""
+
+    def test_matches_homogeneous_products(self):
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            a, b = random_pose(rng), random_pose(rng)
+            m_a, m_b = a.matrix(), b.matrix()
+            np.testing.assert_array_equal(m_a[:3, :3], a.rotation)
+            np.testing.assert_array_equal(m_a[:3, 3], a.t)
+            np.testing.assert_array_equal(m_a[3], [0.0, 0.0, 0.0, 1.0])
+            np.testing.assert_allclose(a.compose(b).matrix(), m_a @ m_b, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(a.inverse().matrix(), np.linalg.inv(m_a), rtol=0,
+                                       atol=1e-12)
+            pts = rng.normal(size=(7, 3)) * 10.0
+            homog = np.hstack([pts, np.ones((7, 1))]) @ m_a.T
+            np.testing.assert_allclose(a.apply(pts), homog[:, :3], rtol=0, atol=1e-12)
+
+    def test_quaternion_in_and_out(self):
+        # Pose(q).q is q normalized, up to the sign that makes w >= 0
+        rng = np.random.default_rng(14)
+        for _ in range(200):
+            q = rng.normal(size=4) * rng.uniform(0.1, 10.0)
+            unit_q = q / np.linalg.norm(q)
+            np.testing.assert_allclose(Pose(q).q, math.copysign(1.0, q[3]) * unit_q,
+                                       rtol=0, atol=1e-12)
+
+    def test_from_rt_and_copy_own_their_arrays(self):
+        rot, t = so3_exp([0.1, -0.2, 0.3]), np.array([1.0, 2.0, 3.0])
+        pose = Pose.from_rt(rot, t)
+        dup = pose.copy()
+        want = pose.matrix()
+        rot[:] = 0.0
+        t[:] = 0.0
+        np.testing.assert_array_equal(pose.matrix(), want)
+        pose.rotation[:] = 0.0
+        pose.t[:] = 0.0
+        np.testing.assert_array_equal(dup.matrix(), want)
 
 
 class TestInverse:
@@ -230,16 +273,16 @@ class TestBodyPoseFromCamera:
         ext = CameraExtrinsic(Pose(t=[0.3, -0.1, 0.2]))
         b1 = body_pose_from_camera(cam, ext, 1.0)
         b2 = body_pose_from_camera(cam, ext, 2.0)
-        np.testing.assert_array_equal(b1.q, b2.q)
+        np.testing.assert_array_equal(b1.rotation, b2.rotation)
         np.testing.assert_allclose(b2.t - b1.t, cam.t, atol=1e-12)
 
     def test_rotation_bitwise_independent_of_scale(self):
         rng = np.random.default_rng(11)
         cam = random_pose(rng)
         ext = CameraExtrinsic(random_pose(rng))
-        quats = [body_pose_from_camera(cam, ext, s).q for s in (0.1, 1.0, 10.0)]
-        np.testing.assert_array_equal(quats[0], quats[1])
-        np.testing.assert_array_equal(quats[1], quats[2])
+        rots = [body_pose_from_camera(cam, ext, s).rotation for s in (0.1, 1.0, 10.0)]
+        np.testing.assert_array_equal(rots[0], rots[1])
+        np.testing.assert_array_equal(rots[1], rots[2])
 
     def test_matches_dense_matrix_oracle(self):
         # oracle: form the 4x4 block product directly
@@ -296,3 +339,11 @@ def test_matrix_quat_round_trip():
 
 def test_rotation_angle():
     assert abs(rotation_angle(rot_z(0.3)) - 0.3) < 1e-12
+    # relative precision from 1e-12 rad, far below where an acos of the
+    # trace reads 0, up to near pi
+    rng = np.random.default_rng(15)
+    angles = np.concatenate([np.geomspace(1e-12, 1.0, 61), np.linspace(1.0, math.pi - 1e-6, 40)])
+    for a in angles:
+        axis = rng.normal(size=3)
+        axis /= np.linalg.norm(axis)
+        assert abs(rotation_angle(so3_exp(a * axis)) - a) <= 1e-6 * a, a

@@ -57,7 +57,7 @@ class TestBodyHypothesis:
         h1 = body_hypothesis(sfms[2], rig4.extrinsic(2), 1.0)
         h7 = body_hypothesis(sfms[2], rig4.extrinsic(2), 7.0)
         for p1, p7 in zip(h1.poses, h7.poses):
-            np.testing.assert_array_equal(p1.q, p7.q)
+            np.testing.assert_array_equal(p1.rotation, p7.rotation)
 
     def test_pairwise_agreement_at_true_scales(self, rig4):
         traj = circle_traj()

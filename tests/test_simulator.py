@@ -38,7 +38,7 @@ class TestTrajectory:
         spec = TrajectorySpec("straight_line", 50, speed=2.0)
         poses = generate_trajectory(spec)
         for p in poses:
-            np.testing.assert_array_equal(p.q, poses[0].q)
+            np.testing.assert_array_equal(p.rotation, poses[0].rotation)
 
     def test_curved_orientation_varies(self):
         for kind in ("circle", "lemniscate", "smooth_random"):
@@ -68,7 +68,7 @@ class TestTrajectory:
         a = generate_trajectory(spec)
         b = generate_trajectory(spec)
         for pa, pb in zip(a, b):
-            np.testing.assert_array_equal(pa.q, pb.q)
+            np.testing.assert_array_equal(pa.rotation, pb.rotation)
             np.testing.assert_array_equal(pa.t, pb.t)
 
     def test_too_short_rejected(self):
