@@ -4,9 +4,11 @@ per-camera online scale correction.
 
 State layout: body poses for up to 11 frames plus landmarks parameterized
 as an inverse range along a unit anchor ray in their first observing
-camera. The oldest pose is held fixed as the gauge. Residuals are
-normalized-plane reprojection errors whitened by an isotropic observation
-covariance; points that land behind a camera are gated out per iteration.
+camera. In every window problem slot i owns pose columns 6i to 6i+5;
+optimize_window holds the oldest pose as the gauge by deleting its rows and
+columns. Residuals are normalized-plane reprojection errors whitened by an
+isotropic observation covariance; points that land behind a camera are
+gated out per iteration.
 
 Online scale correction reuses the same cost: with the body poses fixed,
 each camera's inverse depths are rescaled by a Gauss-Newton step in its
@@ -120,54 +122,19 @@ class SlidingWindowState:
         self.frames.remove(frame)
         del self.poses[frame]
 
-    def copy(self):
-        out = SlidingWindowState(self.capacity)
-        out.frames = list(self.frames)
-        out.poses = {f: p.copy() for f, p in self.poses.items()}
-        out.landmarks = {
-            k: Landmark(l.camera, l.track_id, l.anchor_frame, l.anchor_ray.copy(), l.inv_depth)
-            for k, l in self.landmarks.items()
-        }
-        out.prior = self.prior
-        return out
-
-
-def reprojection_residual(state: SlidingWindowState, obs: ReprojObservation, rig):
-    """Residual and Jacobians for a single observation.
-
-    Returns (residual (2,), j_anchor (2,6), j_target (2,6), j_depth (2,1))
-    unwhitened, with pose perturbations [dp, dtheta] applied as
-    t <- t + dp, R <- R exp(dtheta^). Returns None when the point falls
-    behind the target camera (gated out). An observation at the anchor
-    frame is identically zero for any depth.
-    """
-    lm = state.landmarks[(obs.camera, obs.track_id)]
-    if obs.frame == lm.anchor_frame:
-        return np.zeros(2), np.zeros((2, 6)), np.zeros((2, 6)), np.zeros((2, 1))
-    prob = _Problem(state, [obs], rig)
-    res, jac, valid = prob.evaluate_raw()
-    if not valid[0]:
-        return None
-    return res[0], jac[0, :, 0:6], jac[0, :, 6:12], jac[0, :, 12:13]
-
 
 class _Problem:
     """Batched evaluation over a window's observations, indexed once at
-    construction: residuals() for costs, evaluate() adding the Jacobian."""
+    construction: residuals() for costs, evaluate() adding the Jacobian.
+    Slot i (state.frames[i]) owns pose columns 6i to 6i+5, [dp, dtheta]
+    applied as t <- t + dp, R <- R exp(dtheta^); the caller fixes the gauge.
+    """
 
-    def __init__(self, state, observations, rig, gauge="oldest"):
+    def __init__(self, state, observations, rig):
         self.state = state
         self.rig = rig
         frames = state.frames
         self.frame_slot = {f: i for i, f in enumerate(frames)}
-        if gauge == "oldest":
-            self.fixed_slots = {0} if frames else set()
-        elif gauge == "none":
-            self.fixed_slots = set()
-        else:
-            raise ValueError(f"unknown gauge {gauge!r}")
-        self.free_slots = [i for i in range(len(frames)) if i not in self.fixed_slots]
-        self.slot_col = {s: i for i, s in enumerate(self.free_slots)}
 
         # an observation is usable when its landmark exists and both its own
         # and its anchor frame are in the window; an anchor self-observation
@@ -195,9 +162,6 @@ class _Problem:
         self.lm_idx = np.searchsorted(used, lm_of[usable])
         self.coords = np.array([o.coords for o in observations]).reshape(-1, 2)[usable]
         self.weight = 1.0 / np.array([o.sigma for o in observations], dtype=float)[usable]
-        # each observation's anchor and target pose column, -1 where fixed
-        col_of_slot = np.array([self.slot_col.get(s, -1) for s in range(len(frames))], dtype=int)
-        self.a_col, self.b_col = col_of_slot[self.a_slot], col_of_slot[self.b_slot]
 
         n_cams = rig.n_cameras
         self.ext_rot = np.stack(
@@ -210,28 +174,24 @@ class _Problem:
     @cached_property
     def scatter(self):
         """_assemble's bincount targets, built on its first call: for each
-        block it scatters, the observations whose pose columns are free and
-        the flat indices (rows * width + cols) their entries add to."""
+        block it scatters, the flat indices (rows * width + cols) that the
+        observations' entries add to."""
         n_p, n_lm = self.n_pose_params, self.n_landmarks
-        free_a, free_b = self.a_col >= 0, self.b_col >= 0
-        free_ab = free_a & free_b
-        rows_a, rows_b = (6 * cols[:, None] + np.arange(6) for cols in (self.a_col, self.b_col))
-        ra, rb, ra_ab, rb_ab = rows_a[free_a], rows_b[free_b], rows_a[free_ab], rows_b[free_ab]
+        ra, rb = (6 * slots[:, None] + np.arange(6) for slots in (self.a_slot, self.b_slot))
 
         def pose_pose(rows_i, rows_j):
             return (rows_i[:, :, None] * n_p + rows_j[:, None, :]).reshape(-1)
 
         return [
-            (free_a, pose_pose(ra, ra)), (free_ab, pose_pose(ra_ab, rb_ab)),
-            (free_ab, pose_pose(rb_ab, ra_ab)), (free_b, pose_pose(rb, rb)),
-            (free_a, (ra * n_lm + self.lm_idx[free_a, None]).reshape(-1)),
-            (free_b, (rb * n_lm + self.lm_idx[free_b, None]).reshape(-1)),
-            (free_a, ra.reshape(-1)), (free_b, rb.reshape(-1)),
+            pose_pose(ra, ra), pose_pose(ra, rb), pose_pose(rb, ra), pose_pose(rb, rb),
+            (ra * n_lm + self.lm_idx[:, None]).reshape(-1),
+            (rb * n_lm + self.lm_idx[:, None]).reshape(-1),
+            ra.reshape(-1), rb.reshape(-1),
         ]
 
     @property
     def n_pose_params(self):
-        return 6 * len(self.free_slots)
+        return 6 * len(self.state.frames)
 
     @property
     def n_landmarks(self):
@@ -245,20 +205,10 @@ class _Problem:
         )
         return rots, pos, lam
 
-    def evaluate(self, rots, pos, lam):
-        """Whitened residuals, stacked Jacobians (K,2,13), validity mask."""
-        res, jac, valid = self._evaluate_core(rots, pos, lam)
-        w = self.weight[:, None]
-        return res * w, jac * w[:, :, None], valid
-
     def residuals(self, rots, pos, lam):
         """evaluate's whitened residuals and mask, bit for bit, sans Jacobian."""
         res, valid, _ = self._project(rots, pos, lam)
         return res * self.weight[:, None], valid
-
-    def evaluate_raw(self):
-        rots, pos, lam = self.current_values()
-        return self._evaluate_core(rots, pos, lam)
 
     def _project(self, rots, pos, lam):
         """The residual chain: unwhitened residuals (gated rows zero), the
@@ -283,7 +233,9 @@ class _Problem:
         res[~valid] = 0.0
         return res, valid, (rays, lam_k, r_e, r_a, r_b, p_ab, p_bb, p_c, z_safe)
 
-    def _evaluate_core(self, rots, pos, lam):
+    def evaluate(self, rots, pos, lam):
+        """Whitened residuals, stacked Jacobians (K,2,13), validity mask;
+        Jacobian columns 0:6 anchor pose, 6:12 target pose, 12 inverse depth."""
         k = len(self.cam)
         if k == 0:
             return np.zeros((0, 2)), np.zeros((0, 2, 13)), np.zeros(0, dtype=bool)
@@ -312,11 +264,12 @@ class _Problem:
         jac[:, :, 12] = (d_pw @ (r_a @ (r_e @ d_ray[..., None])))[..., 0]
 
         jac[~valid] = 0.0
-        return res, jac, valid
+        w = self.weight[:, None]
+        return res * w, jac * w[:, :, None], valid
 
 
 def _assemble(prob, res, jac, valid, hw):
-    """Normal-equation blocks with landmarks kept separable.
+    """Normal-equation blocks with landmarks kept separable, in prob's layout.
 
     Returns (h_pp, h_pl, h_ll diag, g_p, g_l).
     """
@@ -339,9 +292,9 @@ def _assemble(prob, res, jac, valid, hw):
               blocks[:, 6:12, 6:12], blocks[:, 0:6, 12], blocks[:, 6:12, 12],
               grads[:, 0:6], grads[:, 6:12])
     targets = (h_pp,) * 4 + (h_pl,) * 2 + (g_p,) * 2
-    for target, (keep, flat), piece in zip(targets, prob.scatter, pieces):
+    for target, flat, piece in zip(targets, prob.scatter, pieces):
         target.reshape(-1)[:] += np.bincount(
-            flat, weights=piece[keep].reshape(-1), minlength=target.size
+            flat, weights=piece.reshape(-1), minlength=target.size
         )
     h_ll[:] = np.bincount(prob.lm_idx, weights=blocks[:, 12, 12], minlength=n_lm)
     g_l[:] = np.bincount(prob.lm_idx, weights=grads[:, 12], minlength=n_lm)
@@ -389,13 +342,15 @@ def _schur(h, b, removed):
 def optimize_window(state: SlidingWindowState, observations, rig, max_iters=10, robust=True):
     """Trust-region damped Gauss-Newton over the window.
 
-    Landmarks are eliminated per iteration through their diagonal block;
-    the oldest pose is the gauge. Inverse depths are kept positive per
-    landmark: each update is clamped to at least DEPTH_STEP_FLOOR times the
-    current value, so one landmark near the camera cannot veto the step of
-    the whole window. Steps that raise the cost are rejected and the
-    damping increased. robust=False drops the Huber loss (plain least
-    squares), for paired robustness comparisons.
+    Landmarks are eliminated per iteration through their diagonal block.
+    The oldest pose is the gauge: its rows and columns are sliced off the
+    normal equations after the prior (laid out once per call) is added.
+    Inverse depths are kept positive per landmark: each update is clamped
+    to at least DEPTH_STEP_FLOOR times the current value, so one landmark
+    near the camera cannot veto the step of the whole window. Steps that
+    raise the cost are rejected and the damping increased. robust=False
+    drops the Huber loss (plain least squares), for paired robustness
+    comparisons.
     The Jacobian is formed once per accepted linearization; trial steps
     evaluate residuals only, which is all their cost needs.
 
@@ -409,9 +364,13 @@ def optimize_window(state: SlidingWindowState, observations, rig, max_iters=10, 
     rots, pos, lam = prob.current_values()
 
     delta_huber = HUBER_DELTA if robust else np.inf
-    prior_cols = {f: prob.slot_col[s] for f, s in prob.frame_slot.items() if s in prob.slot_col}
-
-    start_poses = dict(zip(state.frames, zip(rots, pos)))  # the prior's gradient point
+    if state.prior is not None:
+        # gradient at the starting poses; adding 0.0 where the prior has no
+        # term leaves every sum bit for bit
+        n_p = prob.n_pose_params
+        prior_h, prior_g = np.zeros((n_p, n_p)), np.zeros(n_p)
+        _add_prior(state.prior, dict(zip(state.frames, zip(rots, pos))), prob.frame_slot,
+                   prior_h, prior_g)
 
     def total_cost(rots_c, pos_c, lam_c):
         res, valid = prob.residuals(rots_c, pos_c, lam_c)
@@ -433,7 +392,9 @@ def optimize_window(state: SlidingWindowState, observations, rig, max_iters=10, 
         hw[~valid] = 0.0
         h_pp, h_pl, h_ll, g_p, g_l = _assemble(prob, res, jac, valid, hw)
         if state.prior is not None:
-            _add_prior(state.prior, start_poses, prior_cols, h_pp, g_p)
+            h_pp += prior_h
+            g_p += prior_g
+        h_pp, h_pl, g_p = h_pp[6:, 6:], h_pl[6:], g_p[6:]  # hold the oldest pose
 
         accepted = False
         for _ in range(8):
@@ -452,9 +413,9 @@ def optimize_window(state: SlidingWindowState, observations, rig, max_iters=10, 
             new_lam = np.maximum(lam + step_l, DEPTH_STEP_FLOOR * lam)
             new_rots = rots.copy()
             new_pos = pos.copy()
-            for slot, col in prob.slot_col.items():
-                dp = step_p[6 * col : 6 * col + 3]
-                dth = step_p[6 * col + 3 : 6 * col + 6]
+            for slot in range(1, len(state.frames)):
+                dp = step_p[6 * slot - 6 : 6 * slot - 3]
+                dth = step_p[6 * slot - 3 : 6 * slot]
                 new_pos[slot] = pos[slot] + dp
                 new_rots[slot] = rots[slot] @ so3_exp(dth)
             new_cost = total_cost(new_rots, new_pos, new_lam)
@@ -506,7 +467,7 @@ def marginalize_oldest(state: SlidingWindowState, observations, rig):
     ]
 
     # evaluate those factors with every pose free (no gauge here)
-    prob = _Problem(state, factors, rig, gauge="none")
+    prob = _Problem(state, factors, rig)
     rots, pos, lam = prob.current_values()
     res, jac, valid = prob.evaluate(rots, pos, lam)
     hw, _ = huber_weights(res, HUBER_DELTA)

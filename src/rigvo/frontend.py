@@ -46,7 +46,8 @@ class FeatureTrackTable:
     frame_obs[cam][frame] maps each track id observed by the camera at the
     frame to its pixel, in ingest order, and holds the same pixel arrays
     as tracks. first_seen[cam] is the camera's first observed frame, None
-    before its first observation.
+    before its first observation. duplicates_rejected counts the duplicate
+    track ids update_track_table has rejected.
 
     update_track_table only stores. Queries read frame_obs, so a call costs
     O(observations in the frames it asks about), however many frames the
@@ -59,24 +60,16 @@ class FeatureTrackTable:
         self.frame_obs = [{} for _ in range(n_cameras)]
         self.first_seen = [None] * n_cameras
         self.last_frame = None
-        self.diagnostics = []
+        self.duplicates_rejected = 0
 
     def observations_at(self, cam, frame):
         """List of (track_id, pixel) observed by a camera at a frame."""
         return sorted(self.frame_obs[cam].get(frame, {}).items(), key=lambda item: item[0])
 
-    def lifespan(self, cam, tid):
-        return len(self.tracks[cam][tid])
-
     @property
     def first_frame(self):
-        """First frame of frames(); None before the first ingest."""
+        """First frame any camera observed (last_frame until one has)."""
         return min((f for f in self.first_seen if f is not None), default=self.last_frame)
-
-    def frames(self):
-        if self.last_frame is None:
-            return []
-        return list(range(self.first_frame, self.last_frame + 1))
 
     def window_parallax(self, cam, span, end_frame=None):
         """Mean endpoint pixel displacement of tracks alive across the span.
@@ -105,8 +98,9 @@ def update_track_table(table: FeatureTrackTable, frame_index, per_camera_obs):
     per_camera_obs: for each camera, an iterable of (track_id, pixel).
     Nothing is computed here: parallax and stability are queries
     (FeatureTrackTable.window_parallax, track_stability). Duplicate ids
-    within one camera frame are rejected with a diagnostic; the first
-    occurrence is kept. A rejected observation enters neither index.
+    within one camera frame are rejected and counted; the first occurrence
+    is kept. A rejected observation enters neither index. Frames are
+    consecutive, so every track's frames increase.
     """
     if table.last_frame is not None and frame_index != table.last_frame + 1:
         raise ValueError(
@@ -121,19 +115,11 @@ def update_track_table(table: FeatureTrackTable, frame_index, per_camera_obs):
         seen = set()
         for tid, pixel in obs_list:
             if tid in seen:
-                table.diagnostics.append(
-                    f"frame {frame_index} cam {cam}: duplicate track id {tid} rejected"
-                )
+                table.duplicates_rejected += 1
                 continue
             seen.add(tid)
             pix = np.asarray(pixel, dtype=float)
-            track = tracks.setdefault(tid, [])
-            if track and track[-1][0] >= frame_index:
-                table.diagnostics.append(
-                    f"frame {frame_index} cam {cam}: non-increasing frame for track {tid}"
-                )
-                continue
-            track.append((frame_index, pix))
+            tracks.setdefault(tid, []).append((frame_index, pix))
             frame_obs[tid] = pix
         if frame_obs and table.first_seen[cam] is None:
             table.first_seen[cam] = frame_index
@@ -292,8 +278,3 @@ def compute_sfd(features, bounds, grid=DEFAULT_SFD_GRID):
         counts[gy, gx] += 1
     return float(np.var(counts))
 
-
-def select_features_score_only(candidates, target_count):
-    """Baseline selector: top-K by score, ties by lowest index."""
-    order = sorted(range(len(candidates)), key=lambda i: (-candidates[i].score, i))
-    return [candidates[i] for i in order[:target_count]]

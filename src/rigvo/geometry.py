@@ -258,10 +258,6 @@ class RigConfig:
     def extrinsic(self, idx) -> CameraExtrinsic:
         return self.cameras[idx][1]
 
-    def subset(self, indices) -> "RigConfig":
-        """Rig restricted to the given camera indices (order preserved)."""
-        return RigConfig([self.cameras[i] for i in indices])
-
 
 def project(point, intr: CameraIntrinsic):
     """Camera-frame point (m) to pixel, or None when unrepresentable."""

@@ -143,12 +143,12 @@ def initialize_state(trajectories, estimate: ScaleEstimate, table: FeatureTrackT
     if principal not in trajectories:
         principal = cams[0]
 
-    hyp = body_hypothesis(
+    body_poses = body_hypothesis(
         trajectories[principal], rig.extrinsic(principal), scale_of[principal]
     )
     state = SlidingWindowState(capacity=max(WINDOW_CAPACITY, len(frames)))
-    for k, f in enumerate(frames):
-        state.add_frame(f, hyp.poses[k].copy())
+    for f, pose in zip(frames, body_poses):
+        state.add_frame(f, pose)
 
     for cam in cams:
         ext = rig.extrinsic(cam).cam_in_body

@@ -14,7 +14,7 @@ block system F s + theta whose least-squares minimizer is the scale vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,35 +34,11 @@ class DegenerateMotionError(Exception):
 
 
 @dataclass
-class BodyTrajectoryHypothesis:
-    """Body poses implied by one camera, re-anchored to identity at t=0."""
-
-    camera_index: int
-    poses: list  # Pose per frame
-
-    def __post_init__(self):
-        if self.poses:
-            first = self.poses[0]
-            if not (np.allclose(first.t, 0.0, atol=1e-9)
-                    and np.allclose(first.rotation, np.eye(3), atol=1e-9)):
-                raise ValueError("hypothesis must start at identity")
-
-
-@dataclass
 class ScaleSystem:
     """Stacked observation matrix F and scale-independent offsets theta."""
 
     f_matrix: np.ndarray  # (3*K, N)
     theta: np.ndarray  # (3*K,)
-    camera_indices: list  # column -> camera index
-    frames_used: int
-    singular_values: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        if self.f_matrix.size:
-            self.singular_values = np.linalg.svd(self.f_matrix, compute_uv=False)
-        else:
-            self.singular_values = np.zeros(0)
 
     @property
     def n_cameras(self):
@@ -87,7 +63,8 @@ class ScaleEstimate:
 
 
 def body_hypothesis(sfm: CameraSfmTrajectory, ext: CameraExtrinsic, s: float):
-    """Apply the extrinsic at scale s, then re-anchor to identity at t=0.
+    """Body poses implied by one camera, a list with one Pose per frame:
+    apply the extrinsic at scale s, then re-anchor to identity at t=0.
 
     The rotation parts are independent of s by construction.
     """
@@ -97,9 +74,7 @@ def body_hypothesis(sfm: CameraSfmTrajectory, ext: CameraExtrinsic, s: float):
         body_pose_from_camera(sfm.pose(t), ext, s) for t in range(len(sfm))
     ]
     anchor = raw[0].inverse()
-    return BodyTrajectoryHypothesis(
-        sfm.camera_index, [anchor.compose(p) for p in raw]
-    )
+    return [anchor.compose(p) for p in raw]
 
 
 def _anchored_terms(sfm: CameraSfmTrajectory, ext: CameraExtrinsic):
@@ -147,12 +122,7 @@ def build_scale_system(sfm_trajectories, extrinsics):
                 thetas.append(terms[i][1][t] - terms[j][1][t])
     f_matrix = np.vstack(rows) if rows else np.zeros((0, n))
     theta = np.concatenate(thetas) if thetas else np.zeros(0)
-    return ScaleSystem(
-        f_matrix=f_matrix,
-        theta=theta,
-        camera_indices=[s.camera_index for s in sfm_trajectories],
-        frames_used=length - 1,
-    )
+    return ScaleSystem(f_matrix=f_matrix, theta=theta)
 
 
 def solve_scales(system: ScaleSystem) -> ScaleEstimate:
@@ -160,17 +130,16 @@ def solve_scales(system: ScaleSystem) -> ScaleEstimate:
 
     The problem is exactly linear, so the closed-form solve is the answer.
     The estimate is flagged unobservable when the system is ill-conditioned
-    (> 1e8), any scale is non-positive or below 1e-3, or the offsets vanish
-    (the homogeneous system determines scale only up to a common factor).
+    (> 1e8, by the singular values lstsq returns), any scale is
+    non-positive or below 1e-3, or the offsets vanish (the homogeneous
+    system determines scale only up to a common factor).
     """
     n = system.n_cameras
     if system.rows < n:
         raise ValueError(f"system has {system.rows} rows for {n} unknowns")
 
-    sv = system.singular_values
+    s, _, _, sv = np.linalg.lstsq(system.f_matrix, -system.theta, rcond=None)
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-
-    s, *_ = np.linalg.lstsq(system.f_matrix, -system.theta, rcond=None)
 
     residual = system.f_matrix @ s + system.theta
     rms = float(np.sqrt(np.mean(residual**2))) if len(residual) else 0.0

@@ -1,9 +1,16 @@
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
 
 from rigvo.geometry import CameraExtrinsic, CameraIntrinsic, CameraModel, Pose, RigConfig
+
+# Hypothesis caches the constants it mines from local modules under its
+# storage directory, ./.hypothesis by default; keep it out of the checkout
+os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY",
+                      os.path.join(tempfile.gettempdir(), "rigvo-hypothesis"))
 
 
 def _axes_to_rot(x_axis, y_axis, z_axis):

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -15,7 +16,6 @@ from rigvo.backend import (
     marginalize_oldest,
     optimize_window,
     prune_landmarks,
-    reprojection_residual,
 )
 from rigvo.geometry import Pose, rotation_angle, skew, so3_exp
 from rigvo.simulator import (
@@ -49,33 +49,38 @@ def perturb_state(state, rng, rot_mag=0.05, trans_mag=0.1, skip_oldest=True):
         )
 
 
+def unwhitened(prob, rots, pos, lam):
+    """_Problem.evaluate's residuals and Jacobian without the whitening."""
+    res, jac, valid = prob.evaluate(rots, pos, lam)
+    return res / prob.weight[:, None], jac / prob.weight[:, None, None], valid
+
+
 class TestReprojectionResidual:
+    """_Problem's residual kernel, one observation or a window at a time."""
+
     def test_anchor_frame_zero(self):
+        # an observation at its landmark's anchor frame is identically zero
+        # for any depth, so the problem leaves it out
         rig, traj, cloud, sim = make_sim()
         state, observations = build_gt_window(rig, traj, sim, range(11))
         key = next(iter(state.landmarks))
         lm = state.landmarks[key]
         obs = ReprojObservation(key[0], key[1], lm.anchor_frame, np.zeros(2), 0.01)
-        out = reprojection_residual(state, obs, rig)
-        np.testing.assert_array_equal(out[0], np.zeros(2))
-        # any depth: still zero
-        lm.inv_depth *= 5.0
-        out = reprojection_residual(state, obs, rig)
-        np.testing.assert_array_equal(out[0], np.zeros(2))
+        for scale in (1.0, 5.0):
+            lm.inv_depth *= scale
+            prob = backend._Problem(state, [obs], rig)
+            assert len(prob.cam) == 0
+            res, jac, valid = prob.evaluate(*prob.current_values())
+            assert res.shape == (0, 2) and jac.shape == (0, 2, 13) and not valid.any()
 
     def test_ground_truth_residuals_tiny(self):
         rig, traj, cloud, sim = make_sim()
         state, observations = build_gt_window(rig, traj, sim, range(11))
-        checked = 0
-        for obs in observations[:400]:
-            lm = state.landmarks[(obs.camera, obs.track_id)]
-            if obs.frame == lm.anchor_frame:
-                continue
-            out = reprojection_residual(state, obs, rig)
-            assert out is not None
-            assert np.linalg.norm(out[0]) < 1e-10
-            checked += 1
-        assert checked > 100
+        prob = backend._Problem(state, observations[:400], rig)
+        res, _, valid = unwhitened(prob, *prob.current_values())
+        assert valid.all()
+        assert np.linalg.norm(res, axis=1).max() < 1e-10
+        assert len(res) > 100
 
     def test_behind_camera_gated(self):
         rig, traj, cloud, sim = make_sim()
@@ -88,8 +93,11 @@ class TestReprojectionResidual:
                 target = obs
                 break
         lm.inv_depth = -abs(lm.inv_depth)  # flips the point behind
-        out = reprojection_residual(state, target, rig)
-        assert out is None
+        prob = backend._Problem(state, [target], rig)
+        res, jac, valid = prob.evaluate(*prob.current_values())
+        assert valid.tolist() == [False]
+        np.testing.assert_array_equal(res, 0.0)
+        np.testing.assert_array_equal(jac, 0.0)
 
     def test_jacobians_match_finite_differences(self):
         # 1000 random configurations, central differences, 1e-5 relative
@@ -122,23 +130,18 @@ class TestReprojectionResidual:
             if p_c[2] < 0.1:
                 continue
             coords = p_c[:2] / p_c[2] + rng.normal(scale=0.01, size=2)
-            obs = ReprojObservation(cam, 0, 1, coords, 0.005)
-            out = reprojection_residual(state, obs, rig)
-            if out is None:
+            # sigma 1: whitening multiplies by 1.0, so these are the raw values
+            prob = backend._Problem(state, [ReprojObservation(cam, 0, 1, coords, 1.0)], rig)
+            _, jac, valid = prob.evaluate(*prob.current_values())
+            if not valid[0]:
                 continue
-            res0, j_a, j_b, j_l = out
+            j_a, j_b, j_l = jac[0, :, 0:6], jac[0, :, 6:12], jac[0, :, 12:13]
 
             def residual_at(dpa, dta, dpb, dtb, dlam):
-                st = state.copy()
-                st.poses[0] = Pose.from_rt(
-                    pose_a.rotation @ so3_exp(dta), pose_a.t + dpa
-                )
-                st.poses[1] = Pose.from_rt(
-                    pose_b.rotation @ so3_exp(dtb), pose_b.t + dpb
-                )
-                st.landmarks[(cam, 0)].inv_depth = lam + dlam
-                r = reprojection_residual(st, obs, rig)
-                return r[0]
+                rots = np.stack([pose_a.rotation @ so3_exp(dta), pose_b.rotation @ so3_exp(dtb)])
+                pos = np.stack([pose_a.t + dpa, pose_b.t + dpb])
+                res, _ = prob.residuals(rots, pos, np.array([lam + dlam]))
+                return res[0]
 
             def central_diff(arg, step):
                 # perturb one argument of residual_at; the rest stay zero
@@ -290,7 +293,7 @@ class TestSplitKernel:
 
     def test_jacobian_matches_einsum_reference(self):
         prob, (rots, pos, lam) = gated_window_problem()
-        _, jac, valid = prob.evaluate_raw()
+        _, jac, valid = unwhitened(prob, rots, pos, lam)
         assert 0 < valid.sum() < len(valid)
         np.testing.assert_allclose(
             jac, jacobian_reference(prob, rots, pos, lam), rtol=1e-12, atol=1e-12
@@ -336,18 +339,18 @@ class TestOptimizeWindow:
     def test_jacobian_once_per_outer_iteration(self, monkeypatch):
         # trial steps read residuals only; the Jacobian is built once at
         # each accepted linearization point, the start included
-        calls = {"core": 0, "residuals": 0}
-        core, residuals = backend._Problem._evaluate_core, backend._Problem.residuals
+        calls = {"evaluate": 0, "residuals": 0}
+        evaluate, residuals = backend._Problem.evaluate, backend._Problem.residuals
 
-        def counted_core(self, *args):
-            calls["core"] += 1
-            return core(self, *args)
+        def counted_evaluate(self, *args):
+            calls["evaluate"] += 1
+            return evaluate(self, *args)
 
         def counted_residuals(self, *args):
             calls["residuals"] += 1
             return residuals(self, *args)
 
-        monkeypatch.setattr(backend._Problem, "_evaluate_core", counted_core)
+        monkeypatch.setattr(backend._Problem, "evaluate", counted_evaluate)
         monkeypatch.setattr(backend._Problem, "residuals", counted_residuals)
         rig, traj, cloud, sim = make_sim(NoiseSpec(pixel_sigma=0.7, seed=63))
         state, observations = build_gt_window(rig, traj, sim, range(11))
@@ -356,9 +359,30 @@ class TestOptimizeWindow:
         accepted = len(info["cost_trace"]) - 1
         outer = accepted + int(info["status"] == "stalled")
         assert accepted >= 2
-        assert calls["core"] == outer
+        assert calls["evaluate"] == outer
         # the starting cost plus at least one trial step per outer iteration
         assert calls["residuals"] >= 1 + outer
+
+    def test_prior_terms_laid_out_once_per_call(self, monkeypatch):
+        # the prior's Hessian and gradient are the same at every outer
+        # iteration, so optimize_window lays them out once
+        rig, traj, cloud, sim = make_sim(NoiseSpec(pixel_sigma=0.7, seed=63))
+        state, observations = build_gt_window(rig, traj, sim, range(12))
+        marginalize_oldest(state, observations, rig)
+        observations = [o for o in observations if o.frame in state.poses]
+        perturb_state(state, np.random.default_rng(63), rot_mag=0.03, trans_mag=0.08)
+        calls = []
+        add_prior = backend._add_prior
+
+        def counted(*args):
+            calls.append(1)
+            return add_prior(*args)
+
+        monkeypatch.setattr(backend, "_add_prior", counted)
+        info = optimize_window(state, observations, rig, max_iters=15)
+        outer = len(info["cost_trace"]) - 1 + int(info["status"] == "stalled")
+        assert outer >= 2
+        assert len(calls) == 1
 
     def test_gauge_fixed_oldest(self):
         rig, traj, cloud, sim = make_sim()
@@ -586,7 +610,7 @@ class TestCorrectScale:
             return float(np.median(np.abs(np.array(ratios) - 1.0)))
 
         assert depth_scale_error(state) > 0.09
-        corrected = state.copy()
+        corrected = copy.deepcopy(state)
         correct_scale(corrected, observations, rig)
         assert depth_scale_error(corrected) < 0.01
 
@@ -594,7 +618,7 @@ class TestCorrectScale:
         # inside one window BA removes the depth bias from either start and
         # both runs reach the same minimum. A strict gain from correction
         # needs evidence already marginalized out of the window.
-        biased = state.copy()
+        biased = copy.deepcopy(state)
         info_biased = optimize_window(biased, observations, rig, max_iters=30)
         info_corr = optimize_window(corrected, observations, rig, max_iters=30)
         cost_biased = info_biased["cost_trace"][-1]

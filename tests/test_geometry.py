@@ -317,15 +317,6 @@ class TestRigConfig:
         with pytest.raises(ValueError):
             RigConfig([(PINHOLE, CameraExtrinsic(Pose.identity()))])
 
-    def test_subset(self):
-        cams = [
-            (PINHOLE, CameraExtrinsic(Pose(t=[float(i), 0, 0]))) for i in range(4)
-        ]
-        rig = RigConfig(cams)
-        sub = rig.subset([0, 2])
-        assert sub.n_cameras == 2
-        assert sub.extrinsic(1).cam_in_body.t[0] == 2.0
-
 
 def test_matrix_quat_round_trip():
     rng = np.random.default_rng(12)
