@@ -18,6 +18,7 @@ window's residuals call for it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -59,7 +60,9 @@ class ReprojObservation:
 
     def __post_init__(self):
         self.coords = np.asarray(self.coords, dtype=float)
-        if not np.all(np.isfinite(self.coords)):
+        if self.coords.shape != (2,):
+            raise ValueError("observation coordinates must have shape (2,)")
+        if not (math.isfinite(self.coords[0]) and math.isfinite(self.coords[1])):
             raise ValueError("observation coordinates must be finite")
         if self.sigma <= 0:
             raise ValueError("observation sigma must be positive")

@@ -260,50 +260,38 @@ class RigConfig:
 
 
 def project(point, intr: CameraIntrinsic):
-    """Camera-frame point (m) to pixel, or None when unrepresentable."""
-    p = np.asarray(point, dtype=float)
-    x, y, z = p
-    rho = math.hypot(x, y)
-    theta = math.atan2(rho, z)
-    if theta >= intr.fov_limit:
-        return None
-    if intr.model is CameraModel.PINHOLE:
-        if z <= 0.0:
-            return None
-        return np.array([intr.fx * x / z + intr.cx, intr.fy * y / z + intr.cy])
-    # equidistant: radial distance f*theta along the azimuth direction
-    if rho < 1e-12:
-        if z <= 0.0:
-            return None
-        return np.array([intr.cx, intr.cy])
-    return np.array(
-        [intr.fx * theta * x / rho + intr.cx, intr.fy * theta * y / rho + intr.cy]
-    )
+    """Camera-frame point (m) to pixel, or None when unrepresentable: one
+    row of project_many."""
+    pix, valid = project_many(point, intr)
+    return pix[0] if valid[0] else None
 
 
 def project_many(points, intr: CameraIntrinsic):
-    """Vectorized projection.
+    """Camera-frame points (N,3) (m) to pixels (N,2) and valid (N,).
 
-    Returns (pixels (N,2), valid (N,)); pixels for invalid rows are NaN.
+    A row is valid unless it lies behind the camera or at or past
+    fov_limit; invalid rows have NaN pixels. rho and theta are taken with
+    math.hypot and math.atan2 row by row (their numpy versions can differ
+    in the last bit), so each row rounds as the scalar formula does.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-    rho = np.hypot(x, y)
-    theta = np.arctan2(rho, z)
+    rho = np.array(list(map(math.hypot, x.tolist(), y.tolist())), dtype=float)
+    theta = np.array(list(map(math.atan2, rho.tolist(), z.tolist())), dtype=float)
     valid = theta < intr.fov_limit
-    pix = np.full((len(pts), 2), np.nan)
+    pix = np.empty((len(pts), 2))
     if intr.model is CameraModel.PINHOLE:
-        valid &= z > 0
+        valid &= z > 0.0
         zs = np.where(valid, z, 1.0)
         pix[:, 0] = intr.fx * x / zs + intr.cx
         pix[:, 1] = intr.fy * y / zs + intr.cy
     else:
+        # equidistant: radial distance f*theta along the azimuth direction
         on_axis = rho < 1e-12
-        valid &= ~on_axis | (z > 0)
-        rs = np.where(rho < 1e-12, 1.0, rho)
-        scale = np.where(on_axis, 0.0, theta / rs)
-        pix[:, 0] = intr.fx * scale * x + intr.cx
-        pix[:, 1] = intr.fy * scale * y + intr.cy
+        valid &= ~on_axis | (z > 0.0)
+        rs = np.where(on_axis, 1.0, rho)
+        pix[:, 0] = np.where(on_axis, intr.cx, intr.fx * theta * x / rs + intr.cx)
+        pix[:, 1] = np.where(on_axis, intr.cy, intr.fy * theta * y / rs + intr.cy)
     pix[~valid] = np.nan
     return pix, valid
 

@@ -113,13 +113,15 @@ def triangulate_many(rotations, centers, rays, seen, min_angle=LOW_PARALLAX_ANGL
     dots = np.abs(np.einsum("nvi,nwi->nvw", dirs, dirs))
     min_dot = np.where(pairs, dots, np.inf).min(axis=(1, 2))
     ok = pairs.any(axis=(1, 2)) & (np.arccos(np.clip(min_dot, 0.0, 1.0)) >= min_angle)
+    points = np.full((n, 3), np.nan)
+    depths = np.zeros((n, v))
+    if not ok.any():
+        return points, depths, ok
 
     # sum over seen views of (I - d d^T) x = (I - d d^T) c
     d = dirs[ok]
     m = (np.eye(3) - d[..., :, None] * d[..., None, :]) * seen[ok][:, :, None, None]
-    points = np.full((n, 3), np.nan)
     points[ok] = np.linalg.solve(m.sum(axis=1), np.matmul(m, centers[:, :, None]).sum(axis=1))[..., 0]
-    depths = np.zeros((n, v))
     depths[ok] = np.einsum("nvi,nvi->nv", points[ok][:, None, :] - centers, d)
     return points, depths, ok
 

@@ -3,8 +3,9 @@
 Generates smooth body trajectories, landmark clouds with binary
 descriptors, and noisy per-camera feature tracks with ground truth. This
 is the oracle the rest of the system is validated against: everything is
-reproducible bit-for-bit from the seeds, and per-camera noise streams are
-independent so parallel rendering would agree with serial.
+reproducible bit-for-bit from the seeds. Each camera has its own noise
+stream, which draws in ascending landmark id over the landmarks visible
+to the camera at each frame.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frontend import FeatureTrackTable, update_track_table
-from .geometry import CameraModel, Pose, RigConfig, project, unproject
+from .geometry import CameraModel, Pose, RigConfig, project_many, unproject
 from .sfm import CameraSfmTrajectory
 
 TRAJECTORY_KINDS = ("circle", "lemniscate", "straight_line", "smooth_random")
@@ -176,8 +177,12 @@ def render_observations(rig: RigConfig, trajectory, cloud: LandmarkCloud, noise:
     """Project the cloud through every camera at every frame.
 
     Tracks carry the landmark identity until a dropout event or a
-    visibility gap breaks them; re-detection opens a fresh track id. Pixel
-    noise and descriptor bit flips follow per-camera independent streams.
+    visibility gap breaks them; re-detection opens a fresh track id. Each
+    (frame, camera) maps the whole cloud into the camera and projects the
+    landmarks within depth range with project_many, so every pixel rounds
+    as project rounds it. Landmarks that land on the sensor then take
+    their draws in ascending id from the camera's own stream: pixel noise
+    (capped at 3 sigma), dropout, descriptor bit flips.
     """
     n_cams = rig.n_cameras
     rmin, rmax = cloud.depth_range
@@ -195,28 +200,28 @@ def render_observations(rig: RigConfig, trajectory, cloud: LandmarkCloud, noise:
         per_cam_obs = []
         for c in range(n_cams):
             intr = rig.intrinsic(c)
-            pinhole = intr.model is CameraModel.PINHOLE
             cam_pose = body.compose(rig.extrinsic(c).cam_in_body)
-            rot_t = cam_pose.rotation.T
+            # a stacked matmul rounds as the per-point rot_t @ v, and
+            # sqrt(vecdot) as np.linalg.norm
+            p_cam = np.matmul(cam_pose.rotation.T, (cloud.points - cam_pose.t)[:, :, None])[..., 0]
+            if intr.model is CameraModel.PINHOLE:
+                depth = p_cam[:, 2]
+            else:
+                depth = np.sqrt(np.vecdot(p_cam, p_cam))
+            in_range = np.flatnonzero((rmin <= depth) & (depth <= rmax))
+            pixels, valid = project_many(p_cam[in_range], intr)
+            u, v = pixels[:, 0], pixels[:, 1]
+            valid &= (0 <= u) & (u < intr.image_width) & (0 <= v) & (v < intr.image_height)
             rng = rngs[c]
             obs = []
             new_active = {}
-            for lm in range(len(cloud)):
-                p_cam = rot_t @ (cloud.points[lm] - cam_pose.t)
-                depth = p_cam[2] if pinhole else np.linalg.norm(p_cam)
-                if not rmin <= depth <= rmax:
-                    continue
-                pix = project(p_cam, intr)
-                if pix is None:
-                    continue
-                if not (0 <= pix[0] < intr.image_width and 0 <= pix[1] < intr.image_height):
-                    continue
-
+            for lm, pix in zip(in_range[valid].tolist(), pixels[valid]):
                 if noise.pixel_sigma > 0:
                     delta = rng.normal(0.0, noise.pixel_sigma, size=2)
                     # cap at 3 sigma so every observation stays within the
-                    # documented bound of its exact projection
-                    norm = np.linalg.norm(delta)
+                    # documented bound of its exact projection; the norm is
+                    # np.linalg.norm's own sqrt(dot), without its overhead
+                    norm = math.sqrt(delta.dot(delta))
                     if norm > 3.0 * noise.pixel_sigma:
                         delta *= 3.0 * noise.pixel_sigma / norm
                     pix = pix + delta

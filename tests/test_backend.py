@@ -685,6 +685,20 @@ def test_coords_to_ray_batched_matches_per_row():
         np.testing.assert_array_equal(backend._coords_to_ray(coords[0]), per_row[0])
 
 
+@pytest.mark.parametrize("coords, sigma", [
+    ([np.nan, 0.0], 0.01),
+    ([0.0, np.inf], 0.01),
+    ([-np.inf, 0.0], 0.01),
+    ([0.0, 0.0, 1.0], 0.01),
+    ([[0.0, 0.0]], 0.01),
+    ([0.0, 0.0], 0.0),
+    ([0.0, 0.0], -0.01),
+], ids=["nan", "inf", "-inf", "shape3", "shape1x2", "sigma0", "sigma-"])
+def test_observation_rejects_bad_input(coords, sigma):
+    with pytest.raises(ValueError):
+        ReprojObservation(0, 0, 0, coords, sigma)
+
+
 def test_prune_landmarks():
     rig = make_test_rig(2)
     state = SlidingWindowState()

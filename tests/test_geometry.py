@@ -22,6 +22,8 @@ from rigvo.geometry import (
     unproject_many,
 )
 
+from scalar_reference import scalar_project
+
 
 def rot_z(angle):
     c, s = math.cos(angle), math.sin(angle)
@@ -248,15 +250,26 @@ class TestProjection:
 
     def test_project_many_matches_scalar(self):
         rng = np.random.default_rng(8)
-        pts = rng.normal(size=(100, 3)) + [0, 0, 3.0]
-        pix, valid = project_many(pts, PINHOLE)
-        for i in range(len(pts)):
-            single = project(pts[i], PINHOLE)
-            if single is None:
-                assert not valid[i]
-            else:
-                assert valid[i]
-                np.testing.assert_allclose(pix[i], single, atol=1e-12)
+        pts = np.concatenate([
+            rng.normal(size=(2000, 3)) + [0, 0, 3.0],
+            rng.normal(size=(200, 3)) - [0, 0, 3.0],  # behind the camera
+            rng.normal(size=(200, 3)) * [30.0, 30.0, 1.0],  # mostly out of FoV
+            [[0.0, 0.0, 2.0], [0.0, 0.0, -2.0], [1e-13, -1e-13, 1.0],
+             [-1e-13, 0.0, -1.0], [0.0, 0.0, 0.0]],  # on the optical axis
+        ])
+        for intr in (PINHOLE, FISHEYE):
+            pix, valid = project_many(pts, intr)
+            assert 0 < valid.sum() < len(pts)
+            for i, point in enumerate(pts):
+                single = scalar_project(point, intr)
+                one = project(point, intr)
+                if single is None:
+                    assert not valid[i] and one is None
+                    assert np.isnan(pix[i]).all()
+                else:
+                    assert valid[i]
+                    np.testing.assert_array_equal(pix[i], single)
+                    np.testing.assert_array_equal(one, single)
 
 
 class TestBodyPoseFromCamera:

@@ -356,6 +356,16 @@ class TestTriangulateMany:
         assert np.all((depths[kind == self.FLIPPED] < 0).sum(axis=1) == 1)
         assert np.all(depths[kind == self.POINT][seen[kind == self.POINT]] > 0)
 
+    def test_no_track_passes_parallax(self):
+        rotations = np.tile(np.eye(3), (2, 1, 1))
+        centers = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        rays = np.tile([0.0, 0.0, 1.0], (4, 2, 1))
+        seen = np.array([[True, True], [True, True], [True, False], [False, False]])
+        points, depths, ok = triangulate_many(rotations, centers, rays, seen)
+        assert np.isnan(points).all() and points.shape == (4, 3)
+        np.testing.assert_array_equal(depths, np.zeros((4, 2)))
+        np.testing.assert_array_equal(ok, np.zeros(4, dtype=bool))
+
     def test_empty_batch(self):
         rotations = np.tile(np.eye(3), (3, 1, 1))
         points, depths, ok = triangulate_many(

@@ -17,6 +17,7 @@ from rigvo.simulator import (
 )
 
 from conftest import make_test_rig
+from scalar_reference import scalar_render
 
 
 def hamming(a, b):
@@ -182,6 +183,32 @@ class TestRender:
                     np.testing.assert_array_equal(pa, pb)
             for key in a.descriptors[cam]:
                 np.testing.assert_array_equal(a.descriptors[cam][key], b.descriptors[cam][key])
+
+    @pytest.mark.parametrize("noise", [
+        NoiseSpec(),
+        NoiseSpec(pixel_sigma=2.0, seed=3),
+        NoiseSpec(dropout_prob=0.1, seed=4),
+        NoiseSpec(descriptor_flip_rate=0.05, seed=5),
+        NoiseSpec(pixel_sigma=0.5, dropout_prob=0.05, descriptor_flip_rate=0.03, seed=13),
+    ], ids=["clean", "pixel", "dropout", "flips", "all"])
+    def test_matches_scalar_reference_bitwise(self, noise):
+        rig = make_test_rig(4)
+        traj = generate_trajectory(TrajectorySpec("lemniscate", 15, speed=3.0))
+        cloud = sample_landmarks(300, traj, (3.0, 25.0), seed=21)
+        sim = render_observations(rig, traj, cloud, noise)
+        ref = scalar_render(rig, traj, cloud, noise)
+        for cam in range(rig.n_cameras):
+            assert sim.track_landmark[cam] == ref.track_landmark[cam]
+            tracks, ref_tracks = sim.tracks.tracks[cam], ref.tracks.tracks[cam]
+            assert list(tracks) == list(ref_tracks)
+            for tid, track in tracks.items():
+                assert [f for f, _ in track] == [f for f, _ in ref_tracks[tid]]
+                for (_, pix), (_, ref_pix) in zip(track, ref_tracks[tid]):
+                    assert pix.tobytes() == ref_pix.tobytes()
+            assert list(sim.descriptors[cam]) == list(ref.descriptors[cam])
+            for key, desc in sim.descriptors[cam].items():
+                np.testing.assert_array_equal(desc, ref.descriptors[cam][key])
+        assert sum(len(t) for t in sim.tracks.tracks) > 0
 
     def test_triangulation_consistency(self):
         # zero noise: every track triangulates back to its landmark

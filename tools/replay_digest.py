@@ -6,10 +6,14 @@ reduced to one line that two bit-identical programs print alike.
 Runs from the root of a source checkout, with rigvo from its src/ and the
 benchmark's own workloads from its vobench/, on one thread as the benchmark
 does. Per seed it prints the check outcome (`correct`), failed/attempted,
-every counter, and one SHA-256 over every pose the VO loop replayed (taken
-by wrapping vobench's vo.replay) and every sample the checks recorded.
-Run it on two checkouts and compare the lines: a change that keeps every
-line replays bit for bit. Nothing is written to disk.
+every counter, one SHA-256 (`sha256=`) over every pose the VO loop
+replayed (taken by wrapping vobench's vo.replay) and every sample the
+checks recorded, and one (`inputs=`) over what the set-up rendered: every
+track's id, frames and pixels and every track's landmark, per camera, for
+each render_observations call. Run it on two checkouts and compare the
+lines: a change that keeps every line replays bit for bit, and one that
+keeps `inputs=` but not `sha256=` changed the loop, not the renderer.
+Nothing is written to disk.
 """
 
 import os
@@ -35,10 +39,20 @@ import workloads  # noqa: E402
 from spans import Tracer  # noqa: E402
 
 
+def hash_render(sha, sim):
+    """Feed one render's tracks and track_landmark into sha."""
+    for cam_tracks, cam_landmarks in zip(sim.tracks.tracks, sim.track_landmark):
+        for tid, track in cam_tracks.items():
+            sha.update(np.array([tid, len(track)] + [f for f, _ in track], dtype=np.int64).tobytes())
+            for _, pix in track:
+                sha.update(pix.tobytes())
+        sha.update(np.array(list(cam_landmarks.items()), dtype=np.int64).tobytes())
+
+
 def digest_seed(workload, seed):
     """One set-up and one round; returns the seed's summary line."""
-    sha = hashlib.sha256()
-    replay = vo.replay
+    sha, inputs_sha = hashlib.sha256(), hashlib.sha256()
+    replay, render = vo.replay, workloads.render_observations
 
     def hashed_replay(*args, **kwargs):
         poses, accepted = replay(*args, **kwargs)
@@ -48,21 +62,26 @@ def digest_seed(workload, seed):
             sha.update(poses[f].t.tobytes())
         return poses, accepted
 
+    def hashed_render(*args, **kwargs):
+        sim = render(*args, **kwargs)
+        hash_render(inputs_sha, sim)
+        return sim
+
     tracer = Tracer(False)
     stats = vo.Stats()
-    vo.replay = hashed_replay
+    vo.replay, workloads.render_observations = hashed_replay, hashed_render
     try:
         inputs = workload.setup(seed, tracer)
         workload.round(inputs, tracer, stats)
     finally:
-        vo.replay = replay
+        vo.replay, workloads.render_observations = replay, render
     sha.update("\n".join(stats.errors).encode())
     for name in sorted(stats.samples):
         sha.update(name.encode())
         sha.update(np.asarray(stats.samples[name], dtype=float).tobytes())
     counts = " ".join(f"{k}={v}" for k, v in sorted(stats.counts.items()))
     return (f"seed={seed} correct={not stats.errors} failed={stats.failed}/{stats.attempted} "
-            f"{counts} sha256={sha.hexdigest()}")
+            f"{counts} sha256={sha.hexdigest()} inputs={inputs_sha.hexdigest()}")
 
 
 def main(argv=None):
