@@ -86,10 +86,6 @@ class MarginalizationPrior:
     b: np.ndarray
     dropped_eigenvalues: int = 0  # Schur eigenvalues at or below EIG_FLOOR
 
-    @property
-    def dimension(self):
-        return 6 * len(self.frames)
-
     def delta(self, poses):
         """Stacked [dp, dtheta] w.r.t. the lin points of poses, which maps
         each covered frame to a (rotation matrix, position) pair."""

@@ -96,11 +96,12 @@ def update_track_table(table: FeatureTrackTable, frame_index, per_camera_obs):
     """Ingest one frame of observations into both indexes; returns None.
 
     per_camera_obs: for each camera, an iterable of (track_id, pixel).
-    Nothing is computed here: parallax and stability are queries
-    (FeatureTrackTable.window_parallax, track_stability). Duplicate ids
-    within one camera frame are rejected and counted; the first occurrence
-    is kept. A rejected observation enters neither index. Frames are
-    consecutive, so every track's frames increase.
+    Pixels are stored as given, one object in both indexes, neither copied
+    nor converted. Nothing is computed here: parallax and stability are
+    queries (FeatureTrackTable.window_parallax, track_stability). Duplicate
+    ids within one camera frame are rejected and counted; the first
+    occurrence is kept. A rejected observation enters neither index. Frames
+    are consecutive, so every track's frames increase.
     """
     if table.last_frame is not None and frame_index != table.last_frame + 1:
         raise ValueError(
@@ -118,9 +119,8 @@ def update_track_table(table: FeatureTrackTable, frame_index, per_camera_obs):
                 table.duplicates_rejected += 1
                 continue
             seen.add(tid)
-            pix = np.asarray(pixel, dtype=float)
-            tracks.setdefault(tid, []).append((frame_index, pix))
-            frame_obs[tid] = pix
+            tracks.setdefault(tid, []).append((frame_index, pixel))
+            frame_obs[tid] = pixel
         if frame_obs and table.first_seen[cam] is None:
             table.first_seen[cam] = frame_index
 

@@ -153,8 +153,9 @@ def so3_log(rot):
     m = np.asarray(rot, dtype=float)
     cos_angle = min(1.0, max(-1.0, 0.5 * (m[0, 0] + m[1, 1] + m[2, 2] - 1.0)))
     angle = math.acos(cos_angle)
+    v = np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]])  # 2 sin(angle) axis
     if angle < 1e-8:
-        return 0.5 * np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]])
+        return 0.5 * v
     if math.pi - angle < 1e-6:
         # R ~ I + 2*K^2 at pi: extract axis from the symmetric part
         sym = 0.5 * (m + np.eye(3))
@@ -170,8 +171,11 @@ def so3_log(rot):
         if axis[dominant] < 0.0:
             axis = -axis
         return axis * angle
-    scale = angle / (2.0 * math.sin(angle))
-    return scale * np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]])
+    if angle > 0.5 * math.pi:
+        # sin of the acos angle has a relative error of about eps / (pi - angle)^2
+        # here; the direction of v, good to eps / (pi - angle), gives the axis
+        return angle * (v / np.linalg.norm(v))
+    return angle / (2.0 * math.sin(angle)) * v
 
 
 # row i is [e_i]^ flattened, so v @ _SKEW_BASIS is [v]^ flattened; the
@@ -192,14 +196,6 @@ def skew(v):
     """
     v = np.asarray(v, dtype=float)
     return np.dot(v, _SKEW_BASIS).reshape(v.shape[:-1] + (3, 3))
-
-
-def rotation_angle(rot) -> float:
-    """Rotation angle in radians: atan2(|vee(R - R^T)|, tr R - 1), which
-    keeps its relative precision near 0, where acos of the trace reads 0."""
-    m = np.asarray(rot, dtype=float)
-    sin2 = math.hypot(m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1])
-    return math.atan2(sin2, m[0, 0] + m[1, 1] + m[2, 2] - 1.0)
 
 
 class CameraModel(Enum):

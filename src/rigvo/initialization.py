@@ -72,32 +72,30 @@ def _window_rays(table: FeatureTrackTable, cam, intr, frames):
 
 
 def run_window_sfm(table: FeatureTrackTable, rig: RigConfig, frames, rng=None):
-    """Monocular SfM per camera over the window frames.
+    """Monocular SfM per camera over the window frames, on each camera's
+    _window_rays table as it comes.
 
-    Returns (trajectories dict cam -> CameraSfmTrajectory, report fields).
-    Cameras whose SfM fails are simply absent from the result.
+    Returns (trajectories: cam -> CameraSfmTrajectory, observations: cam ->
+    count of the camera's window observations (seen cells of its table, not
+    RANSAC inliers), failures: cam -> SfmFailure message). Cameras whose
+    SfM fails are absent from the first two.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     trajectories = {}
-    inliers = {}
+    observations = {}
     failures = {}
     for cam in range(rig.n_cameras):
         intr = rig.intrinsic(cam)
-        tids, rays, seen = _window_rays(table, cam, intr, frames)
-        # per-frame dicts in ascending track-id order: PnP takes its order from them
-        ray_obs = [{tids[r]: rays[r, k] for r in np.flatnonzero(seen[:, k])}
-                   for k in range(len(frames))]
-        threshold = 1.0 / float(intr.fx)
+        _, rays, seen = _window_rays(table, cam, intr, frames)
         try:
-            sfm = monocular_sfm_window(
-                ray_obs, cam, inlier_threshold=threshold, rng=rng
+            trajectories[cam] = monocular_sfm_window(
+                rays, seen, cam, inlier_threshold=1.0 / float(intr.fx), rng=rng
             )
         except SfmFailure as err:
             failures[cam] = str(err)
             continue
-        trajectories[cam] = sfm
-        inliers[cam] = int(seen.sum())
-    return trajectories, inliers, failures
+        observations[cam] = int(seen.sum())
+    return trajectories, observations, failures
 
 
 def estimate_window_scales(trajectories, rig: RigConfig):

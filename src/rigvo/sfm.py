@@ -3,7 +3,8 @@
 All camera poses here are world_T_cam with the "world" being whatever
 frame anchors the reconstruction (frame 0 of a window for SfM output).
 Image measurements enter as unit rays in the camera frame, which keeps
-wide-angle fisheye cameras on the same code path as pinholes.
+wide-angle fisheye cameras on the same code path as pinholes. Window SfM
+takes them as one camera's (track x frame) table, rows in ascending id.
 """
 
 from __future__ import annotations
@@ -393,17 +394,17 @@ def pnp_refine(points, rays, initial: Pose, max_iters=100, step_tol=1e-10, extri
     return Pose.from_rt(rot, t)
 
 
-def monocular_sfm_window(ray_obs, camera_index=0, inlier_threshold=0.002, rng=None):
-    """Windowed monocular SfM from per-frame ray observations.
+def monocular_sfm_window(rays, seen, camera_index=0, inlier_threshold=0.002, rng=None):
+    """Windowed monocular SfM from one camera's (track x frame) ray table.
 
-    ray_obs: list over frames of {track_id: unit ray}. Picks the frame pair
-    with the widest rotation-compensated parallax, estimates a relative
-    pose, triangulates, solves remaining frames by robust pose refinement,
-    and re-anchors frame 0 at identity with unit-norm init baseline.
-
-    The rays go once into a (track x frame) table in ascending track-id
-    order, each frame's PnP correspondence order; each growth of the map and
-    each refine pass is one triangulate_many call over its candidate tracks.
+    rays (T,F,3): unit rays, one row per track in ascending track id (each
+    frame's PnP correspondence order), one column per window frame; seen
+    (T,F): which frames observe each track (rays of unseen cells are
+    ignored). Picks the frame pair with the widest rotation-compensated
+    parallax, estimates a relative pose, triangulates, solves remaining
+    frames by robust pose refinement, and re-anchors frame 0 at identity
+    with unit-norm init baseline. Each growth of the map and each refine
+    pass is one triangulate_many call over its candidate tracks.
 
     Map points must subtend at least MAP_PARALLAX_THRESHOLDS times the
     inlier threshold; REFINE_PASSES passes retriangulate and re-solve.
@@ -411,19 +412,11 @@ def monocular_sfm_window(ray_obs, camera_index=0, inlier_threshold=0.002, rng=No
     Returns a CameraSfmTrajectory; raises SfmFailure when any stage fails.
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    n_frames = len(ray_obs)
+    n_tracks, n_frames = seen.shape
     if n_frames < 2:
         raise SfmFailure("window too short")
     min_map_parallax = MAP_PARALLAX_THRESHOLDS * inlier_threshold
     huber = 2.0 * inlier_threshold
-
-    row_of = {tid: k for k, tid in enumerate(sorted({t for obs in ray_obs for t in obs}))}
-    rays = np.zeros((len(row_of), n_frames, 3))
-    seen = np.zeros((len(row_of), n_frames), dtype=bool)
-    for f, obs in enumerate(ray_obs):
-        for tid, ray in obs.items():
-            rays[row_of[tid], f] = ray
-            seen[row_of[tid], f] = True
 
     # rank frame pairs by rotation-compensated parallax: the residual ray
     # angle after the best-fit rotation is what triangulation actually sees
@@ -454,8 +447,8 @@ def monocular_sfm_window(ray_obs, camera_index=0, inlier_threshold=0.002, rng=No
     poses[ib] = Pose.from_rt(rot, t_unit)
 
     # the map: points[k] is valid where mapped[k]
-    points = np.full((len(row_of), 3), np.nan)
-    mapped = np.zeros(len(row_of), dtype=bool)
+    points = np.full((n_tracks, 3), np.nan)
+    mapped = np.zeros(n_tracks, dtype=bool)
     pts, _, _, ok = triangulate_pair(
         poses[ia], poses[ib], ra, rb, min_angle=min_map_parallax
     )
@@ -499,7 +492,7 @@ def monocular_sfm_window(ray_obs, camera_index=0, inlier_threshold=0.002, rng=No
     for _ in range(REFINE_PASSES):
         # retriangulate every track from all observing frames, then re-solve
         mapped[:] = False
-        map_tracks(np.arange(len(row_of)), all_frames)
+        map_tracks(np.arange(n_tracks), all_frames)
         if mapped.sum() < 4:
             raise SfmFailure("retriangulation lost the map")
         for f in all_frames:

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frontend import FeatureTrackTable, update_track_table
-from .geometry import CameraModel, Pose, RigConfig, project_many, unproject
-from .sfm import CameraSfmTrajectory
+from .geometry import CameraModel, Pose, RigConfig, project_many
 
 TRAJECTORY_KINDS = ("circle", "lemniscate", "straight_line", "smooth_random")
 DESCRIPTOR_BYTES = 32  # 256-bit binary descriptors
@@ -254,40 +253,3 @@ def render_observations(rig: RigConfig, trajectory, cloud: LandmarkCloud, noise:
         descriptors=descriptors,
         track_landmark=track_landmark,
     )
-
-
-def make_scale_ambiguous_sfm(rig: RigConfig, trajectory, s_true):
-    """Exact camera trajectories re-anchored at frame 0, translations
-    divided by the per-camera true scales (monocular SfM emulation)."""
-    s_true = np.asarray(s_true, dtype=float)
-    if len(s_true) != rig.n_cameras:
-        raise ValueError("one scale per camera required")
-    if np.any(s_true <= 0):
-        raise ValueError("scales must be positive")
-    if len(trajectory) < 2:
-        raise ValueError("trajectory must have at least 2 poses")
-
-    out = []
-    for c in range(rig.n_cameras):
-        ext = rig.extrinsic(c).cam_in_body
-        cam_poses = [body.compose(ext) for body in trajectory]
-        anchor_inv = cam_poses[0].inverse()
-        anchored = [anchor_inv.compose(p) for p in cam_poses]
-        rotations = [p.rotation for p in anchored]
-        translations = [p.t / s_true[c] for p in anchored]
-        rotations[0] = np.eye(3)
-        translations[0] = np.zeros(3)
-        out.append(CameraSfmTrajectory(c, rotations, translations))
-    return out
-
-
-def ray_observations(sim: SimOutput, rig: RigConfig, camera, frames):
-    """Per-frame {track_id: unit ray} dicts for one camera (SfM input)."""
-    intr = rig.intrinsic(camera)
-    out = []
-    for f in frames:
-        frame_obs = {}
-        for tid, pix in sim.tracks.observations_at(camera, f):
-            frame_obs[tid] = unproject(pix, intr)
-        out.append(frame_obs)
-    return out

@@ -6,11 +6,20 @@ import numpy as np
 import pytest
 
 from rigvo.geometry import CameraExtrinsic, CameraIntrinsic, CameraModel, Pose, RigConfig
+from rigvo.sfm import CameraSfmTrajectory
 
 # Hypothesis caches the constants it mines from local modules under its
 # storage directory, ./.hypothesis by default; keep it out of the checkout
 os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY",
                       os.path.join(tempfile.gettempdir(), "rigvo-hypothesis"))
+
+
+def rotation_angle(rot) -> float:
+    """Rotation angle in radians: atan2(|vee(R - R^T)|, tr R - 1), which
+    keeps its relative precision near 0, where acos of the trace reads 0."""
+    m = np.asarray(rot, dtype=float)
+    sin2 = math.hypot(m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1])
+    return math.atan2(sin2, m[0, 0] + m[1, 1] + m[2, 2] - 1.0)
 
 
 def _axes_to_rot(x_axis, y_axis, z_axis):
@@ -63,6 +72,31 @@ def rig4():
 @pytest.fixture
 def rig2():
     return make_test_rig(2)
+
+
+def make_scale_ambiguous_sfm(rig: RigConfig, trajectory, s_true):
+    """Exact camera trajectories re-anchored at frame 0, translations
+    divided by the per-camera true scales (monocular SfM emulation)."""
+    s_true = np.asarray(s_true, dtype=float)
+    if len(s_true) != rig.n_cameras:
+        raise ValueError("one scale per camera required")
+    if np.any(s_true <= 0):
+        raise ValueError("scales must be positive")
+    if len(trajectory) < 2:
+        raise ValueError("trajectory must have at least 2 poses")
+
+    out = []
+    for c in range(rig.n_cameras):
+        ext = rig.extrinsic(c).cam_in_body
+        cam_poses = [body.compose(ext) for body in trajectory]
+        anchor_inv = cam_poses[0].inverse()
+        anchored = [anchor_inv.compose(p) for p in cam_poses]
+        rotations = [p.rotation for p in anchored]
+        translations = [p.t / s_true[c] for p in anchored]
+        rotations[0] = np.eye(3)
+        translations[0] = np.zeros(3)
+        out.append(CameraSfmTrajectory(c, rotations, translations))
+    return out
 
 
 def build_gt_window(rig, traj, sim, frames, sigma_px=1.5):

@@ -17,7 +17,7 @@ from rigvo.backend import (
     optimize_window,
     prune_landmarks,
 )
-from rigvo.geometry import Pose, rotation_angle, skew, so3_exp
+from rigvo.geometry import Pose, skew, so3_exp
 from rigvo.simulator import (
     NoiseSpec,
     TrajectorySpec,
@@ -26,7 +26,7 @@ from rigvo.simulator import (
     sample_landmarks,
 )
 
-from conftest import attach_cloud, build_gt_window, make_test_rig
+from conftest import attach_cloud, build_gt_window, make_test_rig, rotation_angle
 
 
 def make_sim(noise=None, n_frames=60, n_landmarks=700, seed=60, speed=3.0):
@@ -445,7 +445,7 @@ class TestMarginalization:
         rig, traj, cloud, sim = make_sim(NoiseSpec(pixel_sigma=0.5, seed=69))
         state, observations = build_gt_window(rig, traj, sim, range(11))
         prior = marginalize_oldest(state, observations, rig)
-        assert prior.dimension == 6 * 10
+        assert 6 * len(prior.frames) == prior.h.shape[0] == 6 * 10
         np.testing.assert_allclose(prior.h, prior.h.T, atol=1e-12)
         # PSD to working precision: eigvalsh cannot resolve eigenvalues
         # (the 6-DoF gauge null space included) finer than n * eps * max

@@ -14,7 +14,6 @@ from rigvo.geometry import (
     matrix_to_quat,
     project,
     project_many,
-    rotation_angle,
     skew,
     so3_exp,
     so3_log,
@@ -22,6 +21,7 @@ from rigvo.geometry import (
     unproject_many,
 )
 
+from conftest import rotation_angle
 from scalar_reference import scalar_project
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rigvo.geometry import Pose, RigConfig, CameraExtrinsic, rotation_angle
+from rigvo.geometry import Pose, RigConfig, CameraExtrinsic
 from rigvo.initialization import (
     _window_rays,
     check_initialization_ready,
@@ -22,12 +22,16 @@ from rigvo.simulator import (
     NoiseSpec,
     TrajectorySpec,
     generate_trajectory,
-    make_scale_ambiguous_sfm,
     render_observations,
     sample_landmarks,
 )
 
-from conftest import make_test_rig, make_zero_baseline_rig
+from conftest import (
+    make_scale_ambiguous_sfm,
+    make_test_rig,
+    make_zero_baseline_rig,
+    rotation_angle,
+)
 
 S_TRUE = np.array([1.0, 2.0, 0.5, 3.0])
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import rigvo.sfm
-from rigvo.geometry import Pose, rotation_angle, so3_exp, unproject
+from rigvo.geometry import Pose, so3_exp, unproject
+from rigvo.initialization import _window_rays
 from rigvo.sfm import (
     LOW_PARALLAX_ANGLE,
     MIN_EPIPOLAR_MATCHES,
@@ -28,12 +29,11 @@ from rigvo.simulator import (
     NoiseSpec,
     TrajectorySpec,
     generate_trajectory,
-    ray_observations,
     render_observations,
     sample_landmarks,
 )
 
-from conftest import make_test_rig
+from conftest import make_test_rig, rotation_angle
 
 
 def unit(v):
@@ -141,9 +141,9 @@ def noisy_ray_pair(rig, cam):
     traj = generate_trajectory(TrajectorySpec("circle", 60, speed=3.0, seed=11))
     cloud = sample_landmarks(500, traj, (3.0, 25.0), seed=11)
     sim = render_observations(rig, traj, cloud, NoiseSpec(pixel_sigma=0.5, seed=12))
-    obs_a, obs_b = ray_observations(sim, rig, cam, [0, 5])
-    shared = sorted(set(obs_a) & set(obs_b))
-    return np.array([obs_a[k] for k in shared]), np.array([obs_b[k] for k in shared])
+    _, rays, seen = _window_rays(sim.tracks, cam, rig.intrinsic(cam), [0, 5])
+    shared = seen[:, 0] & seen[:, 1]
+    return rays[shared, 0], rays[shared, 1]
 
 
 class TestStackedRansac:
@@ -551,17 +551,17 @@ class TestMonocularSfmWindow:
         traj = generate_trajectory(TrajectorySpec(kind, 60, speed=3.0, seed=seed))
         cloud = sample_landmarks(500, traj, (3.0, 25.0), seed=seed)
         sim = render_observations(rig, traj, cloud, noise or NoiseSpec())
-        rays = ray_observations(sim, rig, cam, range(frames))
+        _, rays, seen = _window_rays(sim.tracks, cam, rig.intrinsic(cam), range(frames))
         ext = rig.extrinsic(cam).cam_in_body
         gt_cam = [traj[t].compose(ext) for t in range(frames)]
         anchor = gt_cam[0].inverse()
         gt_anchored = [anchor.compose(p) for p in gt_cam]
-        return rays, gt_anchored
+        return rays, seen, gt_anchored
 
     def test_noiseless_matches_ground_truth(self, rig4):
         for cam in range(2):
-            rays, gt = self.window_rays(rig4, cam)
-            sfm = monocular_sfm_window(rays, cam, rng=np.random.default_rng(41))
+            rays, seen, gt = self.window_rays(rig4, cam)
+            sfm = monocular_sfm_window(rays, seen, cam, rng=np.random.default_rng(41))
             # Procrustes-style: single positive scale aligns all translations
             num = sum(float(sfm.translations[t] @ gt[t].t) for t in range(len(gt)))
             den = sum(float(sfm.translations[t] @ sfm.translations[t]) for t in range(len(gt)))
@@ -572,16 +572,16 @@ class TestMonocularSfmWindow:
                 assert np.linalg.norm(scale * sfm.translations[t] - gt[t].t) < 1e-6
 
     def test_straight_line_with_parallax_succeeds(self, rig4):
-        rays, gt = self.window_rays(rig4, 0, kind="straight_line")
-        sfm = monocular_sfm_window(rays, 0, rng=np.random.default_rng(42))
+        rays, seen, gt = self.window_rays(rig4, 0, kind="straight_line")
+        sfm = monocular_sfm_window(rays, seen, 0, rng=np.random.default_rng(42))
         assert len(sfm) == len(gt)
         for t in range(len(gt)):
             assert rotation_angle(sfm.rotations[t].T @ gt[t].rotation) < 1e-5
 
     def test_insufficient_tracks_fail(self):
-        rays = [{i: unit([0.01 * i, 0.0, 1.0]) for i in range(5)} for _ in range(11)]
+        rays = np.repeat([[unit([0.01 * i, 0.0, 1.0])] for i in range(5)], 11, axis=1)
         with pytest.raises(SfmFailure):
-            monocular_sfm_window(rays, 0)
+            monocular_sfm_window(rays, np.ones((5, 11), dtype=bool), 0)
 
 
 def test_sfm_trajectory_invariants():

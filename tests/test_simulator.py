@@ -3,20 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from rigvo.geometry import Pose, rotation_angle, unproject
+from rigvo.geometry import Pose, unproject
 from rigvo.sfm import triangulate_rays
 from rigvo.simulator import (
     LandmarkCloud,
     NoiseSpec,
     TrajectorySpec,
     generate_trajectory,
-    make_scale_ambiguous_sfm,
-    ray_observations,
     render_observations,
     sample_landmarks,
 )
 
-from conftest import make_test_rig
+from conftest import make_scale_ambiguous_sfm, make_test_rig, rotation_angle
 from scalar_reference import scalar_render
 
 
@@ -276,14 +274,3 @@ class TestScaleAmbiguousSfm:
         for sfm in sfms:
             np.testing.assert_allclose(sfm.rotations[0], np.eye(3), atol=1e-12)
             np.testing.assert_allclose(sfm.translations[0], 0.0, atol=1e-12)
-
-
-def test_ray_observations_roundtrip(rig4):
-    traj = generate_trajectory(TrajectorySpec("circle", 15, speed=3.0))
-    cloud = sample_landmarks(200, traj, (3.0, 25.0), seed=20)
-    sim = render_observations(rig4, traj, cloud, NoiseSpec())
-    rays = ray_observations(sim, rig4, 0, range(15))
-    assert len(rays) == 15
-    for frame_rays in rays:
-        for ray in frame_rays.values():
-            assert np.linalg.norm(ray) == pytest.approx(1.0)
