@@ -124,7 +124,8 @@ class SlidingWindowState:
 
 class _Problem:
     """Batched evaluation over a window's observations, indexed once at
-    construction: residuals() for costs, evaluate() adding the Jacobian.
+    construction: residuals() for costs, evaluate() adding the Jacobian,
+    linearize() adding the Huber weights.
     Slot i (state.frames[i]) owns pose columns 6i to 6i+5, [dp, dtheta]
     applied as t <- t + dp, R <- R exp(dtheta^); the caller fixes the gauge.
     """
@@ -266,8 +267,16 @@ class _Problem:
         w = self.weight[:, None]
         return res * w, jac * w[:, :, None], valid
 
+    def linearize(self, rots, pos, lam):
+        """evaluate's residuals and Jacobians with each row's HUBER_DELTA
+        weight hw (huber_weights), 0 on gated rows: (res, jac, hw)."""
+        res, jac, valid = self.evaluate(rots, pos, lam)
+        hw, _ = huber_weights(res, HUBER_DELTA)
+        hw[~valid] = 0.0
+        return res, jac, hw
 
-def _assemble(prob, res, jac, valid, hw):
+
+def _assemble(prob, res, jac, hw):
     """Normal-equation blocks with landmarks kept separable, in prob's layout.
 
     Returns (h_pp, h_pl, h_ll diag, g_p, g_l).
@@ -338,7 +347,7 @@ def _schur(h, b, removed):
     return 0.5 * (h_new + h_new.T), b[retained] - gain @ b[removed], int((~floored).sum())
 
 
-def optimize_window(state: SlidingWindowState, observations, rig, max_iters=10, robust=True):
+def optimize_window(state: SlidingWindowState, observations, rig, max_iters=10):
     """Trust-region damped Gauss-Newton over the window.
 
     Landmarks are eliminated per iteration through their diagonal block.
@@ -347,9 +356,7 @@ def optimize_window(state: SlidingWindowState, observations, rig, max_iters=10, 
     Inverse depths are kept positive per landmark: each update is clamped
     to at least DEPTH_STEP_FLOOR times the current value, so one landmark
     near the camera cannot veto the step of the whole window. Steps that
-    raise the cost are rejected and the damping increased. robust=False
-    drops the Huber loss (plain least squares), for paired robustness
-    comparisons.
+    raise the cost are rejected and the damping increased.
     The Jacobian is formed once per accepted linearization; trial steps
     evaluate residuals only, which is all their cost needs.
 
@@ -362,7 +369,6 @@ def optimize_window(state: SlidingWindowState, observations, rig, max_iters=10, 
     prob = _Problem(state, observations, rig)
     rots, pos, lam = prob.current_values()
 
-    delta_huber = HUBER_DELTA if robust else np.inf
     if state.prior is not None:
         # gradient at the starting poses; adding 0.0 where the prior has no
         # term leaves every sum bit for bit
@@ -373,7 +379,7 @@ def optimize_window(state: SlidingWindowState, observations, rig, max_iters=10, 
 
     def total_cost(rots_c, pos_c, lam_c):
         res, valid = prob.residuals(rots_c, pos_c, lam_c)
-        _, obs_cost = huber_weights(res[valid], delta_huber)
+        _, obs_cost = huber_weights(res[valid], HUBER_DELTA)
         prior_cost = 0.0
         if state.prior is not None:
             prior_cost = state.prior.cost(dict(zip(state.frames, zip(rots_c, pos_c))))
@@ -386,10 +392,7 @@ def optimize_window(state: SlidingWindowState, observations, rig, max_iters=10, 
     consecutive_rejects = 0
 
     for _ in range(max_iters):
-        res, jac, valid = prob.evaluate(rots, pos, lam)
-        hw, _ = huber_weights(res, delta_huber)
-        hw[~valid] = 0.0
-        h_pp, h_pl, h_ll, g_p, g_l = _assemble(prob, res, jac, valid, hw)
+        h_pp, h_pl, h_ll, g_p, g_l = _assemble(prob, *prob.linearize(rots, pos, lam))
         if state.prior is not None:
             h_pp += prior_h
             g_p += prior_g
@@ -468,10 +471,7 @@ def marginalize_oldest(state: SlidingWindowState, observations, rig):
     # evaluate those factors with every pose free (no gauge here)
     prob = _Problem(state, factors, rig)
     rots, pos, lam = prob.current_values()
-    res, jac, valid = prob.evaluate(rots, pos, lam)
-    hw, _ = huber_weights(res, HUBER_DELTA)
-    hw[~valid] = 0.0
-    h_pp, h_pl, h_ll, g_p, g_l = _assemble(prob, res, jac, valid, hw)
+    h_pp, h_pl, h_ll, g_p, g_l = _assemble(prob, *prob.linearize(rots, pos, lam))
 
     n_poses = len(state.frames)
     n_lm = prob.n_landmarks
@@ -626,9 +626,7 @@ def correct_scale(state: SlidingWindowState, observations, rig):
     log_s = np.zeros(n_cams)
     for n_pass in range(SCALE_MAX_PASSES):
         lam_s = lam * np.exp(-log_s[cam_of_lm])
-        res, jac, valid = prob.evaluate(rots, pos, lam_s)
-        hw, _ = huber_weights(res, HUBER_DELTA)
-        hw[~valid] = 0.0
+        res, jac, hw = prob.linearize(rots, pos, lam_s)
         j = -(lam_s[prob.lm_idx] * hw)[:, None] * jac[:, :, 12]
         g_lm = np.bincount(prob.lm_idx, weights=np.vecdot(j, res * hw[:, None]),
                            minlength=prob.n_landmarks)

@@ -89,7 +89,7 @@ def run_window_sfm(table: FeatureTrackTable, rig: RigConfig, frames, rng=None):
         _, rays, seen = _window_rays(table, cam, intr, frames)
         try:
             trajectories[cam] = monocular_sfm_window(
-                rays, seen, cam, inlier_threshold=1.0 / float(intr.fx), rng=rng
+                rays, seen, inlier_threshold=1.0 / float(intr.fx), rng=rng
             )
         except SfmFailure as err:
             failures[cam] = str(err)
@@ -152,11 +152,10 @@ def initialize_state(trajectories, estimate: ScaleEstimate, table: FeatureTrackT
         ext = rig.extrinsic(cam).cam_in_body
         cam_poses = [state.poses[f].compose(ext) for f in frames]
         tids, rays, seen = _window_rays(table, cam, rig.intrinsic(cam), frames)
-        points, depths, ok = triangulate_many(
+        points, _, ok = triangulate_many(
             np.array([p.rotation for p in cam_poses]), np.array([p.t for p in cam_poses]),
             rays, seen,
         )
-        ok &= np.all((depths > 0) | ~seen, axis=1)
         for r in np.flatnonzero(ok):
             k = int(seen[r].argmax())  # first in-window observation
             anchor_pose = cam_poses[k]

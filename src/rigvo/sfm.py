@@ -9,6 +9,7 @@ takes them as one camera's (track x frame) table, rows in ascending id.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +31,6 @@ class SfmFailure(Exception):
 class CameraSfmTrajectory:
     """Scale-ambiguous per-camera window poses, frame 0 at identity."""
 
-    camera_index: int
     rotations: list = field(default_factory=list)  # world_T_cam rotations
     translations: list = field(default_factory=list)
 
@@ -100,9 +100,10 @@ def triangulate_many(rotations, centers, rays, seen, min_angle=LOW_PARALLAX_ANGL
     (N,V,3): unit rays in camera frames; seen (N,V): which views observe
     each track (rays of unseen views are ignored). A track is ok when two of
     its views subtend at least min_angle, i.e. acos of the smallest
-    |d_i . d_j| over its seen pairs. Returns (points (N,3), depths (N,V)
-    range along each ray, ok (N,)); rows that are not ok have NaN points,
-    and depths are 0 there and in unseen views. Cheirality is the caller's.
+    |d_i . d_j| over its seen pairs, and its point has positive range along
+    every view that sees it (cheirality). Returns (points (N,3), depths
+    (N,V) range along each ray, ok (N,)); rows that are not ok have NaN
+    points, and depths are 0 there and in unseen views.
     """
     rays = np.asarray(rays, dtype=float)
     seen = np.asarray(seen, dtype=bool)
@@ -122,8 +123,11 @@ def triangulate_many(rotations, centers, rays, seen, min_angle=LOW_PARALLAX_ANGL
     # sum over seen views of (I - d d^T) x = (I - d d^T) c
     d = dirs[ok]
     m = (np.eye(3) - d[..., :, None] * d[..., None, :]) * seen[ok][:, :, None, None]
-    points[ok] = np.linalg.solve(m.sum(axis=1), np.matmul(m, centers[:, :, None]).sum(axis=1))[..., 0]
-    depths[ok] = np.einsum("nvi,nvi->nv", points[ok][:, None, :] - centers, d)
+    pts = np.linalg.solve(m.sum(axis=1), np.matmul(m, centers[:, :, None]).sum(axis=1))[..., 0]
+    dep = np.einsum("nvi,nvi->nv", pts[:, None, :] - centers, d)
+    front = np.all((dep > 0) | ~seen[ok], axis=1)
+    ok[ok] = front
+    points[ok], depths[ok] = pts[front], dep[front]
     return points, depths, ok
 
 
@@ -131,8 +135,9 @@ def triangulate_rays(poses, rays, min_angle=LOW_PARALLAX_ANGLE):
     """N-view midpoint triangulation of one track: triangulate_many on one row.
 
     poses: list of world_T_cam Pose; rays: (N,3) unit rays, one per view.
-    Returns (point (3,), depths (N,) range along each ray) or raises
-    SfmFailure when no ray pair subtends at least min_angle.
+    Returns (point (3,), depths (N,) range along each ray, all positive) or
+    raises SfmFailure when no ray pair subtends at least min_angle or the
+    point lies behind one of the views.
     """
     rays = np.asarray(rays, dtype=float)
     points, depths, ok = triangulate_many(
@@ -140,26 +145,8 @@ def triangulate_rays(poses, rays, min_angle=LOW_PARALLAX_ANGLE):
         rays[None], np.ones((1, len(rays)), dtype=bool), min_angle,
     )
     if not ok[0]:
-        raise SfmFailure("rays near parallel")
+        raise SfmFailure("rays near parallel or point behind a view")
     return points[0], depths[0]
-
-
-def triangulate_pair(pose_a: Pose, pose_b: Pose, rays_a, rays_b, min_angle=LOW_PARALLAX_ANGLE):
-    """Two-view triangulation of matched rays: one triangulate_many call.
-
-    Returns (points (N,3), depths_a, depths_b, ok mask). A point is ok when
-    it passes the parallax test, lies in front of both cameras and the
-    baseline is nonzero; the others are NaN with zero depths.
-    """
-    rays = np.stack([np.reshape(rays_a, (-1, 3)), np.reshape(rays_b, (-1, 3))], axis=1)
-    points, depths, ok = triangulate_many(
-        np.array([pose_a.rotation, pose_b.rotation]), np.array([pose_a.t, pose_b.t]),
-        rays, np.ones(rays.shape[:2], dtype=bool), min_angle,
-    )
-    ok &= np.all(depths > 0, axis=1) & (np.linalg.norm(pose_a.t - pose_b.t) >= 1e-12)
-    points[~ok] = np.nan
-    depths[~ok] = 0.0
-    return points, depths[:, 0], depths[:, 1], ok
 
 
 def _ransac_inliers(rays_a, rays_b, inlier_threshold, rng):
@@ -216,20 +203,19 @@ def estimate_relative_pose(rays_a, rays_b, inlier_threshold=0.002, rng=None):
 
     # a single rotation explaining the rays means the baseline is
     # unobservable (pure rotation); the essential fit is meaningless there
-    rot_fit = _best_fit_rotation(rays_a[mask], rays_b[mask])
-    fit_angles = _rotated_ray_angles(rot_fit, rays_a[mask], rays_b[mask])
-    if float(np.median(fit_angles)) < max(LOW_PARALLAX_ANGLE, inlier_threshold):
+    if _compensated_parallax(rays_a[mask], rays_b[mask]) < max(LOW_PARALLAX_ANGLE,
+                                                               inlier_threshold):
         raise SfmFailure("low parallax: translation unobservable")
 
+    pair_rays = np.stack([rays_a[mask], rays_b[mask]], axis=1)
     best = None
     for rot_ba, t_ba in _decompose_essential(e_mat):
         # decomposition yields the a->b point transform; invert to the pose
         # of view b in view a's frame
         rot = rot_ba.T
         t = -rot_ba.T @ t_ba
-        pose_a = Pose.identity()
-        pose_b = Pose.from_rt(rot, t)
-        _, da, db, ok = triangulate_pair(pose_a, pose_b, rays_a[mask], rays_b[mask])
+        _, _, ok = triangulate_many(np.array([np.eye(3), rot]), np.array([np.zeros(3), t]),
+                                    pair_rays, np.ones(pair_rays.shape[:2], dtype=bool))
         front = int(ok.sum())
         if best is None or front > best[0]:
             best = (front, rot, t)
@@ -240,19 +226,15 @@ def estimate_relative_pose(rays_a, rays_b, inlier_threshold=0.002, rng=None):
     return rot, t / np.linalg.norm(t), mask
 
 
-def _rotated_ray_angles(rot, rays_a, rays_b):
-    """Angle between R-transported b-rays and a-rays; ~0 under pure rotation."""
-    aligned = rays_b @ rot.T
-    dots = np.clip(np.einsum("ni,ni->n", aligned, rays_a), -1.0, 1.0)
-    return np.arccos(np.abs(dots))
-
-
-def _best_fit_rotation(rays_a, rays_b):
-    """Rotation best aligning b-rays onto a-rays (orthogonal Procrustes)."""
-    h = rays_a.T @ rays_b
-    u, _, vt = np.linalg.svd(h)
+def _compensated_parallax(rays_a, rays_b):
+    """Median angle between a-rays and b-rays once the best-fit rotation
+    (orthogonal Procrustes) carries b onto a: ~0 under pure rotation, it is
+    the parallax that triangulation actually sees."""
+    u, _, vt = np.linalg.svd(rays_a.T @ rays_b)
     d = np.sign(np.linalg.det(u @ vt))
-    return u @ np.diag([1.0, 1.0, d]) @ vt
+    aligned = rays_b @ (u @ np.diag([1.0, 1.0, d]) @ vt).T
+    dots = np.clip(np.einsum("ni,ni->n", aligned, rays_a), -1.0, 1.0)
+    return float(np.median(np.arccos(np.abs(dots))))
 
 
 def huber_weights(res, delta):
@@ -311,24 +293,30 @@ def _unit_ray_jacobian(terms):
 
 
 def pnp_refine(points, rays, initial: Pose, max_iters=100, step_tol=1e-10, extrinsics=None,
-               huber_delta=None):
+               huber_delta=math.inf):
     """Pose-only refinement of world_T_cam against 3D points and unit rays.
 
-    Minimizes unit-ray direction residuals with damped least squares. When
-    extrinsics (list of Pose, cam-in-body per observation) is given the
-    optimized pose is world_T_body and each ray is taken in its own camera;
-    this covers multi-camera pose verification with one code path.
-    huber_delta (residual-norm units, roughly radians) bounds the influence
-    of stray correspondences when set. A trial step is judged, and its
-    Huber weights taken, from residuals alone; the Jacobian is built only
-    at the poses that start an iteration.
+    Minimizes the Huber cost (huber_weights) of unit-ray direction residuals
+    by damped least squares. When extrinsics (list of Pose, cam-in-body per
+    observation) is given the optimized pose is world_T_body and each ray is
+    taken in its own camera; this covers multi-camera pose verification with
+    one code path. huber_delta (residual-norm units, roughly radians) bounds
+    the influence of stray correspondences; inf is plain least squares. A
+    trial step is judged, and its Huber weights taken, from residuals alone;
+    the Jacobian is built only at the poses that start an iteration.
 
-    Raises SfmFailure on fewer than 4 correspondences or divergence.
+    Raises SfmFailure on fewer than 4 correspondences, on a point that is
+    not finite or lies at the initial camera centre (its ray residual is
+    0/0), when no damped step lowers the cost ("pnp diverged"), and when
+    max_iters iterations end without a step below step_tol ("did not
+    converge in iteration budget").
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     rays = np.asarray(rays, dtype=float).reshape(-1, 3)
     if len(points) < 4:
         raise SfmFailure(f"pnp needs >= 4 correspondences, got {len(points)}")
+    if not np.isfinite(points).all():
+        raise SfmFailure("pnp: a correspondence's point is not finite")
 
     rot = initial.rotation
     t = initial.t.copy()
@@ -343,17 +331,19 @@ def pnp_refine(points, rays, initial: Pose, max_iters=100, step_tol=1e-10, extri
             groups.setdefault(id(ext), (ext, []))[1].append(i)
         groups = [(ext, np.array(idxs)) for ext, idxs in groups.values()]
     groups = [(ext, idxs, points[idxs], rays[idxs]) for ext, idxs in groups]
+    for ext, _, pts, _ in groups:
+        centre = t if ext is None else rot @ ext.t + t
+        if (pts == centre).all(axis=1).any():
+            raise SfmFailure("pnp: a correspondence's point lies at the initial camera centre")
 
     def evaluate(rot_wb, t_wb):
-        # robust-weighted residuals, their weights (None without Huber),
-        # the cost and the kernel terms of each group
+        # Huber-weighted residuals, their weights, the cost and the kernel
+        # terms of each group
         res = np.zeros((len(points), 3))
         terms = []
         for ext, idxs, pts, obs in groups:
             res[idxs], group_terms = _unit_ray_residuals(rot_wb, t_wb, pts, obs, ext)
             terms.append(group_terms)
-        if huber_delta is None:
-            return res, None, float((res**2).sum()), terms
         w, cost = huber_weights(res, huber_delta)
         return res * w[:, None], w, cost, terms
 
@@ -361,7 +351,7 @@ def pnp_refine(points, rays, initial: Pose, max_iters=100, step_tol=1e-10, extri
         jac = np.zeros((len(points), 3, 6))
         for (_, idxs, _, _), group_terms in zip(groups, terms):
             jac[idxs] = _unit_ray_jacobian(group_terms)
-        return jac if w is None else jac * w[:, None, None]
+        return jac * w[:, None, None]
 
     res, w, cost, terms = evaluate(rot, t)
     for _ in range(max_iters):
@@ -394,7 +384,7 @@ def pnp_refine(points, rays, initial: Pose, max_iters=100, step_tol=1e-10, extri
     return Pose.from_rt(rot, t)
 
 
-def monocular_sfm_window(rays, seen, camera_index=0, inlier_threshold=0.002, rng=None):
+def monocular_sfm_window(rays, seen, inlier_threshold=0.002, rng=None):
     """Windowed monocular SfM from one camera's (track x frame) ray table.
 
     rays (T,F,3): unit rays, one row per track in ascending track id (each
@@ -425,13 +415,12 @@ def monocular_sfm_window(rays, seen, camera_index=0, inlier_threshold=0.002, rng
     for i in range(n_frames):
         for j in range(i + 1, n_frames):
             shared = seen[:, i] & seen[:, j]
-            if shared.sum() < MIN_EPIPOLAR_MATCHES:
+            n_shared = int(shared.sum())
+            if n_shared < MIN_EPIPOLAR_MATCHES:
                 continue
-            ra, rb = rays[shared, i], rays[shared, j]
-            rot_fit = _best_fit_rotation(ra, rb)
-            parallax = float(np.median(_rotated_ray_angles(rot_fit, ra, rb)))
-            pair_stats.append((i, j, len(ra), parallax))
-            max_shared = max(max_shared, len(ra))
+            parallax = _compensated_parallax(rays[shared, i], rays[shared, j])
+            pair_stats.append((i, j, n_shared, parallax))
+            max_shared = max(max_shared, n_shared)
     if not pair_stats:
         raise SfmFailure("no frame pair shares enough tracks")
     support_floor = max(MIN_EPIPOLAR_MATCHES, max_shared // 2)
@@ -439,8 +428,8 @@ def monocular_sfm_window(rays, seen, camera_index=0, inlier_threshold=0.002, rng
     ia, ib, _, _ = max(eligible, key=lambda p: p[3])
 
     shared = np.flatnonzero(seen[:, ia] & seen[:, ib])
-    ra, rb = rays[shared, ia], rays[shared, ib]
-    rot, t_unit, mask = estimate_relative_pose(ra, rb, inlier_threshold, rng)
+    rot, t_unit, mask = estimate_relative_pose(rays[shared, ia], rays[shared, ib],
+                                               inlier_threshold, rng)
 
     poses = [None] * n_frames
     poses[ia] = Pose.identity()
@@ -449,13 +438,6 @@ def monocular_sfm_window(rays, seen, camera_index=0, inlier_threshold=0.002, rng
     # the map: points[k] is valid where mapped[k]
     points = np.full((n_tracks, 3), np.nan)
     mapped = np.zeros(n_tracks, dtype=bool)
-    pts, _, _, ok = triangulate_pair(
-        poses[ia], poses[ib], ra, rb, min_angle=min_map_parallax
-    )
-    points[shared[mask & ok]] = pts[mask & ok]
-    mapped[shared[mask & ok]] = True
-    if mapped.sum() < 4:
-        raise SfmFailure("too few triangulated landmarks")
 
     def solve_frame(f, init_pose):
         use = mapped & seen[:, f]
@@ -465,16 +447,18 @@ def monocular_sfm_window(rays, seen, camera_index=0, inlier_threshold=0.002, rng
 
     def map_tracks(rows, frames):
         # map those of the given tracks that triangulate from the given
-        # solved frames in front of every frame observing them
-        sub = seen[np.ix_(rows, frames)]
-        pts, depths, ok = triangulate_many(
+        # solved frames
+        pts, _, ok = triangulate_many(
             np.array([poses[f].rotation for f in frames]),
             np.array([poses[f].t for f in frames]),
-            rays[np.ix_(rows, frames)], sub, min_map_parallax,
+            rays[np.ix_(rows, frames)], seen[np.ix_(rows, frames)], min_map_parallax,
         )
-        ok &= np.all((depths > 0) | ~sub, axis=1)
         points[rows[ok]] = pts[ok]
         mapped[rows[ok]] = True
+
+    map_tracks(shared[mask], [ia, ib])
+    if mapped.sum() < 4:
+        raise SfmFailure("too few triangulated landmarks")
 
     # sweep outward from the solved pair so each frame has a nearby initial
     solved = {ia, ib}
@@ -506,4 +490,4 @@ def monocular_sfm_window(rays, seen, camera_index=0, inlier_threshold=0.002, rng
     rotations = [p.rotation for p in anchored]
     translations = [p.t / baseline for p in anchored]
     translations[0] = np.zeros(3)
-    return CameraSfmTrajectory(camera_index, rotations, translations)
+    return CameraSfmTrajectory(rotations, translations)

@@ -95,7 +95,7 @@ def make_scale_ambiguous_sfm(rig: RigConfig, trajectory, s_true):
         translations = [p.t / s_true[c] for p in anchored]
         rotations[0] = np.eye(3)
         translations[0] = np.zeros(3)
-        out.append(CameraSfmTrajectory(c, rotations, translations))
+        out.append(CameraSfmTrajectory(rotations, translations))
     return out
 
 

@@ -395,7 +395,7 @@ class TestOptimizeWindow:
         np.testing.assert_array_equal(state.poses[f0].rotation, rot0)
         np.testing.assert_array_equal(state.poses[f0].t, t0)
 
-    def test_huber_contains_outliers(self):
+    def test_huber_contains_outliers(self, monkeypatch):
         rig, traj, cloud, sim = make_sim(NoiseSpec(pixel_sigma=0.5, seed=66))
         state_clean, observations = build_gt_window(rig, traj, sim, range(11))
 
@@ -411,15 +411,16 @@ class TestOptimizeWindow:
             corrupted.append(o)
         assert n_out > 50
 
-        def run(obs_list, robust):
+        def run(obs_list):
             st, _ = build_gt_window(rig, traj, sim, range(11))
             perturb_state(st, np.random.default_rng(67), rot_mag=0.02, trans_mag=0.05)
-            optimize_window(st, obs_list, rig, max_iters=20, robust=robust)
+            optimize_window(st, obs_list, rig, max_iters=20)
             return max(np.linalg.norm(st.poses[f].t - traj[f].t) for f in st.frames)
 
-        err_clean = run(observations, robust=True)
-        err_huber = run(corrupted, robust=True)
-        err_plain = run(corrupted, robust=False)
+        err_clean = run(observations)
+        err_huber = run(corrupted)
+        monkeypatch.setattr(backend, "HUBER_DELTA", math.inf)  # plain least squares
+        err_plain = run(corrupted)
         assert err_huber <= 2.0 * max(err_clean, 0.01)
         assert err_plain > 10.0 * max(err_clean, 1e-9) or err_plain > err_huber * 3
 

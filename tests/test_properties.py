@@ -119,8 +119,7 @@ for _sfm in NOISY_SFMS:
 
 
 def divided(sfm, k):
-    return CameraSfmTrajectory(sfm.camera_index, list(sfm.rotations),
-                               [t / k for t in sfm.translations])
+    return CameraSfmTrajectory(list(sfm.rotations), [t / k for t in sfm.translations])
 
 
 @settings(SETTINGS, max_examples=100)

@@ -22,7 +22,6 @@ from rigvo.sfm import (
     monocular_sfm_window,
     pnp_refine,
     triangulate_many,
-    triangulate_pair,
     triangulate_rays,
 )
 from rigvo.simulator import (
@@ -213,22 +212,33 @@ class TestStackedRansac:
             estimate_relative_pose(rays, rays)
 
 
+def two_views(center_b=(1.0, 0.0, 0.0)):
+    """triangulate_many's (rotations, centers) of an identity camera and an
+    unrotated one at center_b."""
+    return np.tile(np.eye(3), (2, 1, 1)), np.array([np.zeros(3), center_b])
+
+
 class TestTriangulate:
+    POINT = np.array([0.3, -0.2, 5.0])
+
     def test_exact_recovery(self):
-        pose_a = Pose.identity()
-        pose_b = Pose(t=[1.0, 0.0, 0.0])
-        point = np.array([0.3, -0.2, 5.0])
-        rays_a = [unit(point)]
-        rays_b = [unit(point - pose_b.t)]
-        pts, da, db, ok = triangulate_pair(pose_a, pose_b, rays_a, rays_b)
+        rotations, centers = two_views()
+        rays = np.array([[unit(self.POINT), unit(self.POINT - centers[1])]])
+        pts, depths, ok = triangulate_many(rotations, centers, rays, np.ones((1, 2), dtype=bool))
         assert ok[0]
-        assert np.linalg.norm(pts[0] - point) < 1e-9
+        assert np.linalg.norm(pts[0] - self.POINT) < 1e-9
+        np.testing.assert_allclose(depths[0], np.linalg.norm(self.POINT - centers, axis=1))
+        point, _ = triangulate_rays([Pose.identity(), Pose(t=centers[1])], rays[0])
+        np.testing.assert_array_equal(point, pts[0])
 
     def test_zero_baseline_rejected(self):
-        pose = Pose.identity()
-        rays = [unit([0.1, 0.2, 1.0])]
-        _, _, _, ok = triangulate_pair(pose, pose, rays, rays)
-        assert not ok.any()
+        # a point seen from one centre has no parallax
+        rotations, centers = two_views(center_b=np.zeros(3))
+        rays = np.tile(unit([0.1, 0.2, 1.0]), (1, 2, 1))
+        pts, depths, ok = triangulate_many(rotations, centers, rays, np.ones((1, 2), dtype=bool))
+        assert not ok.any() and np.isnan(pts).all() and not depths.any()
+        with pytest.raises(SfmFailure):
+            triangulate_rays([Pose.identity(), Pose.identity()], rays[0])
 
     def test_parallel_rays_rejected(self):
         pose_a = Pose.identity()
@@ -238,14 +248,23 @@ class TestTriangulate:
             triangulate_rays([pose_a, pose_b], [ray, ray])
 
     def test_negative_depth_rejected(self):
-        pose_a = Pose.identity()
-        pose_b = Pose(t=[1.0, 0.0, 0.0])
-        point = np.array([0.3, -0.2, 5.0])
+        rotations, centers = two_views()
         # flip one ray: intersection lands behind a camera
-        rays_a = [unit(point)]
-        rays_b = [-unit(point - pose_b.t)]
-        _, _, _, ok = triangulate_pair(pose_a, pose_b, rays_a, rays_b)
-        assert not ok.any()
+        rays = np.array([[unit(self.POINT), -unit(self.POINT - centers[1])]])
+        pts, depths, ok = triangulate_many(rotations, centers, rays, np.ones((1, 2), dtype=bool))
+        assert not ok.any() and np.isnan(pts).all() and not depths.any()
+
+    def test_track_behind_one_view_raises(self):
+        # four views of a point with the third looking away from it: the
+        # midpoint is the point itself, at negative range along that ray
+        rng = np.random.default_rng(3)
+        poses = [Pose.from_rt(so3_exp(rng.normal(scale=0.2, size=3)), rng.uniform(-1, 1, size=3))
+                 for _ in range(4)]
+        rays = np.array([unit(p.rotation.T @ (self.POINT - p.t)) for p in poses])
+        triangulate_rays(poses, rays)
+        rays[2] *= -1.0
+        with pytest.raises(SfmFailure, match="behind"):
+            triangulate_rays(poses, rays)
 
     def test_simulator_window_up_to_scale(self, rig4):
         traj = generate_trajectory(TrajectorySpec("circle", 12, speed=3.0))
@@ -342,18 +361,23 @@ class TestTriangulateMany:
                 point, ref_depths = midpoint_reference([poses[v] for v in views], rays[k, views])
             except SfmFailure:
                 continue
-            ref_ok[k] = True
-            np.testing.assert_allclose(points[k], point, rtol=1e-9, atol=1e-9)
-            np.testing.assert_allclose(depths[k, views], ref_depths, rtol=1e-9, atol=1e-9)
+            if kind[k] == self.FLIPPED:
+                # a midpoint sees lines, not rays: it recovers the point, at
+                # negative range along the flipped ray
+                np.testing.assert_allclose(point, truth[k], atol=1e-9)
+                assert (ref_depths < 0).sum() == 1
+            ref_ok[k] = np.all(ref_depths > 0)  # cheirality
+            if ref_ok[k]:
+                np.testing.assert_allclose(points[k], point, rtol=1e-9, atol=1e-9)
+                np.testing.assert_allclose(depths[k, views], ref_depths, rtol=1e-9, atol=1e-9)
         np.testing.assert_array_equal(ok, ref_ok)
         assert not ok[kind == self.PARALLEL].any()
+        assert not ok[kind == self.FLIPPED].any()
         assert np.all(np.isnan(points[~ok]))
+        assert np.all(depths[~ok] == 0.0)
         assert np.all(depths[~seen] == 0.0)
-        for k in (self.POINT, self.FLIPPED):
-            assert ok[kind == k].all()
-            np.testing.assert_allclose(points[kind == k], truth[kind == k], atol=1e-9)
-        # a midpoint sees lines, not rays: the flipped view's depth turns negative
-        assert np.all((depths[kind == self.FLIPPED] < 0).sum(axis=1) == 1)
+        assert ok[kind == self.POINT].all()
+        np.testing.assert_allclose(points[kind == self.POINT], truth[kind == self.POINT], atol=1e-9)
         assert np.all(depths[kind == self.POINT][seen[kind == self.POINT]] > 0)
 
     def test_no_track_passes_parallax(self):
@@ -402,6 +426,28 @@ class TestPnp:
         with pytest.raises(SfmFailure):
             pnp_refine(points[:3], rays[:3], pose)
 
+    def test_non_finite_point_refused(self):
+        # a NaN point made the first evaluation 0/0, then a false "diverged"
+        points, rays, pose = self.scene()
+        points, rays = points[:10].copy(), rays[:10]
+        for bad in (np.nan, np.inf):
+            points[4] = bad
+            with pytest.raises(SfmFailure, match="not finite"):
+                pnp_refine(points, rays, pose)
+
+    def test_point_at_initial_centre_refused(self, rig4):
+        # its ray residual is 0/0 at the initial pose, for a camera pose
+        # and for a body pose seen through an extrinsic
+        points, rays, pose = self.scene()
+        points, rays = points[:10].copy(), rays[:10]
+        points[4] = pose.t
+        with pytest.raises(SfmFailure, match="camera centre"):
+            pnp_refine(points, rays, pose)
+        exts = [rig4.extrinsic(c % 4).cam_in_body for c in range(10)]
+        points[4] = pose.compose(exts[4]).t
+        with pytest.raises(SfmFailure, match="camera centre"):
+            pnp_refine(points, rays, pose, extrinsics=exts)
+
     def test_rig_body_pose_recovered(self, rig4):
         # 15 points per camera of the 4-camera rig, up to 1.2 rad off each
         # optical axis (the fisheyes see to 1.35 rad); PnP on the body pose
@@ -425,7 +471,7 @@ class TestPnp:
         assert rotation_angle(out.rotation.T @ body.rotation) < 1e-8
 
 
-def pnp_reference(points, rays, initial, extrinsics=None, huber_delta=None):
+def pnp_reference(points, rays, initial, extrinsics=None, huber_delta=math.inf):
     """pnp_refine's loop building the Jacobian at every evaluation, trial
     steps included. Returns (pose, accepted steps, rejected trials)."""
     groups = {}
@@ -437,8 +483,6 @@ def pnp_reference(points, rays, initial, extrinsics=None, huber_delta=None):
         for ext, idxs in groups.values():
             res[idxs], terms = _unit_ray_residuals(rot, t, points[idxs], rays[idxs], ext)
             jac[idxs] = _unit_ray_jacobian(terms)
-        if huber_delta is None:
-            return res, jac, float((res**2).sum())
         w, cost = huber_weights(res, huber_delta)
         return res * w[:, None], jac * w[:, None, None], cost
 
@@ -489,7 +533,7 @@ class TestPnpTrialSteps:
         init = Pose.from_rt(body.rotation @ so3_exp([1.4, -1.6, 1.1]), body.t + [8.0, -6.0, 4.0])
         return np.array(points), rays, init, (exts if multi else None)
 
-    @pytest.mark.parametrize("huber_delta", [None, 0.01])
+    @pytest.mark.parametrize("huber_delta", [math.inf, 0.01])
     @pytest.mark.parametrize("multi", [False, True], ids=["camera", "extrinsics"])
     def test_same_pose_and_one_jacobian_per_iteration(self, rig4, multi, huber_delta,
                                                       monkeypatch):
@@ -561,7 +605,7 @@ class TestMonocularSfmWindow:
     def test_noiseless_matches_ground_truth(self, rig4):
         for cam in range(2):
             rays, seen, gt = self.window_rays(rig4, cam)
-            sfm = monocular_sfm_window(rays, seen, cam, rng=np.random.default_rng(41))
+            sfm = monocular_sfm_window(rays, seen, rng=np.random.default_rng(41))
             # Procrustes-style: single positive scale aligns all translations
             num = sum(float(sfm.translations[t] @ gt[t].t) for t in range(len(gt)))
             den = sum(float(sfm.translations[t] @ sfm.translations[t]) for t in range(len(gt)))
@@ -573,7 +617,7 @@ class TestMonocularSfmWindow:
 
     def test_straight_line_with_parallax_succeeds(self, rig4):
         rays, seen, gt = self.window_rays(rig4, 0, kind="straight_line")
-        sfm = monocular_sfm_window(rays, seen, 0, rng=np.random.default_rng(42))
+        sfm = monocular_sfm_window(rays, seen, rng=np.random.default_rng(42))
         assert len(sfm) == len(gt)
         for t in range(len(gt)):
             assert rotation_angle(sfm.rotations[t].T @ gt[t].rotation) < 1e-5
@@ -581,11 +625,11 @@ class TestMonocularSfmWindow:
     def test_insufficient_tracks_fail(self):
         rays = np.repeat([[unit([0.01 * i, 0.0, 1.0])] for i in range(5)], 11, axis=1)
         with pytest.raises(SfmFailure):
-            monocular_sfm_window(rays, np.ones((5, 11), dtype=bool), 0)
+            monocular_sfm_window(rays, np.ones((5, 11), dtype=bool))
 
 
 def test_sfm_trajectory_invariants():
     with pytest.raises(ValueError):
-        CameraSfmTrajectory(0, [np.eye(3) * 2.0], [np.zeros(3)])
+        CameraSfmTrajectory([np.eye(3) * 2.0], [np.zeros(3)])
     with pytest.raises(ValueError):
-        CameraSfmTrajectory(0, [np.eye(3)], [np.ones(3)])
+        CameraSfmTrajectory([np.eye(3)], [np.ones(3)])
